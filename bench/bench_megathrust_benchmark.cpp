@@ -87,10 +87,10 @@ int main() {
               sim.time(), sim.fault()->maxSlipRate());
 
   // ---- kernel-pipeline head-to-head -> BENCH_kernels.json ---------------
-  // Fresh sims on the coupled scenario, reference vs batched vs fast,
-  // identical work; the fast run carries the PerfMonitor whose phase
-  // breakdown (plus the measured per-backend speedups) becomes the
-  // machine-readable report.
+  // Fresh sims on the coupled scenario, reference vs batched, identical
+  // work; the batched run carries the PerfMonitor whose phase breakdown
+  // (plus the measured per-backend speedups) becomes the machine-readable
+  // report.
   {
     auto buildTimed = [&](KernelPath path) {
       SolverConfig c = megathrustSolverConfig(degree);
@@ -110,7 +110,7 @@ int main() {
                                            t0)
           .count();
     };
-    // Min-of-N with alternating reference/batched/fast reps: single-run
+    // Min-of-N with alternating reference/batched reps: single-run
     // wall times on a shared machine swing by several percent, which is
     // the same order as the effect being measured.
     int reps = 3;
@@ -120,36 +120,32 @@ int main() {
     std::printf("timing kernel pipelines to t = %.2f s (%d alternating "
                 "reps, min taken)...\n",
                 benchTEnd, reps);
-    const KernelPath paths[] = {KernelPath::kReference, KernelPath::kBatched,
-                                KernelPath::kFast};
-    constexpr int kNumPaths = 3;
-    double seconds[kNumPaths] = {0, 0, 0};
-    std::string isaOf[kNumPaths];
-    std::unique_ptr<Simulation> fastSim;
+    const KernelPath paths[] = {KernelPath::kReference, KernelPath::kBatched};
+    constexpr int kNumPaths = 2;
+    double seconds[kNumPaths] = {0, 0};
+    std::unique_ptr<Simulation> batchedSim;
     for (int r = 0; r < reps; ++r) {
       double repSeconds[kNumPaths];
       for (int p = 0; p < kNumPaths; ++p) {
         auto s = buildTimed(paths[p]);
-        isaOf[p] = s->backend().isa();
-        const bool keep =
-            paths[p] == KernelPath::kFast && r + 1 == reps;
+        const bool keep = paths[p] == KernelPath::kBatched && r + 1 == reps;
         if (keep) {
           s->enablePerfMonitor();
         }
         repSeconds[p] = timeRun(*s);
         if (keep) {
-          fastSim = std::move(s);
+          batchedSim = std::move(s);
         }
       }
-      std::printf("  rep %d: reference %.2fs, batched %.2fs, fast %.2fs\n",
-                  r + 1, repSeconds[0], repSeconds[1], repSeconds[2]);
+      std::printf("  rep %d: reference %.2fs, batched %.2fs\n", r + 1,
+                  repSeconds[0], repSeconds[1]);
       for (int p = 0; p < kNumPaths; ++p) {
         seconds[p] =
             (r == 0) ? repSeconds[p] : std::min(seconds[p], repSeconds[p]);
       }
     }
     const int benchThreads = omp_get_max_threads();
-    PerfReportMeta meta = fastSim->perfReportMeta("megathrust");
+    PerfReportMeta meta = batchedSim->perfReportMeta("megathrust");
     // Stamp the run's host context (core count, CPU model, governor, OMP
     // env) into the report: a BENCH_kernels.json is only comparable to
     // another one taken on the same machine state.
@@ -157,13 +153,12 @@ int main() {
     for (int p = 0; p < kNumPaths; ++p) {
       PerfBackendResult b;
       b.backend = kernelPathName(paths[p]);
-      b.isa = isaOf[p];
       b.threads = benchThreads;
       b.seconds = seconds[p];
       b.speedupVsReference = seconds[0] / seconds[p];
       meta.backends.push_back(b);
     }
-    // Thread-scaling leg: the fast pipeline against its own 1-thread run
+    // Thread-scaling leg: the batched pipeline against its own 1-thread run
     // (same alternating min-of-N protocol).  Skipped when the bench
     // already ran single-threaded -- the ratio would be 1 by construction.
     if (benchThreads > 1) {
@@ -171,38 +166,36 @@ int main() {
       for (int r = 0; r < reps; ++r) {
         omp_set_num_threads(1);
         {
-          auto s = buildTimed(KernelPath::kFast);
+          auto s = buildTimed(KernelPath::kBatched);
           const double t = timeRun(*s);
           oneThread = (r == 0) ? t : std::min(oneThread, t);
         }
         omp_set_num_threads(benchThreads);
         {
-          auto s = buildTimed(KernelPath::kFast);
+          auto s = buildTimed(KernelPath::kBatched);
           const double t = timeRun(*s);
           nThread = (r == 0) ? t : std::min(nThread, t);
         }
       }
       PerfBackendResult b;
-      b.backend = "fast";
-      b.isa = isaOf[2];
+      b.backend = "batched";
       b.threads = 1;
       b.seconds = oneThread;
       b.speedupVsReference = seconds[0] / oneThread;
       meta.backends.push_back(b);
-      meta.extra["fast_1thread_seconds"] = oneThread;
+      meta.extra["batched_1thread_seconds"] = oneThread;
       meta.extra["thread_speedup"] = oneThread / nThread;
-      std::printf("thread scaling: fast %.2fs @ 1 thread vs %.2fs @ %d "
+      std::printf("thread scaling: batched %.2fs @ 1 thread vs %.2fs @ %d "
                   "threads -> %.2fx\n",
                   oneThread, nThread, benchThreads, oneThread / nThread);
     }
     // Legacy top-level keys (schema consumers predating the backends
-    // array); speedup_vs_reference reports the fastest pipeline.
-    meta.extra["speedup_vs_reference"] = seconds[0] / seconds[2];
+    // array); speedup_vs_reference reports the batched pipeline.
+    meta.extra["speedup_vs_reference"] = seconds[0] / seconds[1];
     meta.extra["reference_seconds"] = seconds[0];
     meta.extra["batched_seconds"] = seconds[1];
-    meta.extra["fast_seconds"] = seconds[2];
-    writePerfReport("BENCH_kernels.json", *fastSim->perfMonitor(), meta);
-    const PerfMonitor& pm = *fastSim->perfMonitor();
+    writePerfReport("BENCH_kernels.json", *batchedSim->perfMonitor(), meta);
+    const PerfMonitor& pm = *batchedSim->perfMonitor();
     // busy (summed across threads) vs wall (wave-bracketed on thread 0):
     // their ratio is the measured parallel occupancy of each phase.
     for (int p = 0; p < kNumPhases; ++p) {
@@ -214,15 +207,12 @@ int main() {
                   phaseName(ph), busy, wall, wall > 0 ? busy / wall : 0.0,
                   benchThreads);
     }
-    const PhaseStats predictor =
-        fastSim->perfMonitor()->total(Phase::kPredictor);
-    const PhaseStats corrector =
-        fastSim->perfMonitor()->total(Phase::kCorrector);
-    std::printf("kernel speedups vs reference (%.2fs): batched %.2fx "
-                "(%.2fs), fast[%s] %.2fx (%.2fs); predictor %.1f GFLOP/s, "
-                "corrector %.1f GFLOP/s -> BENCH_kernels.json\n",
+    const PhaseStats predictor = pm.total(Phase::kPredictor);
+    const PhaseStats corrector = pm.total(Phase::kCorrector);
+    std::printf("kernel speedup vs reference (%.2fs): batched %.2fx "
+                "(%.2fs); predictor %.1f GFLOP/s, corrector %.1f GFLOP/s "
+                "-> BENCH_kernels.json\n",
                 seconds[0], seconds[0] / seconds[1], seconds[1],
-                isaOf[2].c_str(), seconds[0] / seconds[2], seconds[2],
                 predictor.seconds > 0 ? predictor.flops / predictor.seconds / 1e9
                                       : 0.0,
                 corrector.seconds > 0 ? corrector.flops / corrector.seconds / 1e9

@@ -10,7 +10,6 @@ constexpr struct {
 } kTable[] = {
     {KernelPath::kReference, "reference"},
     {KernelPath::kBatched, "batched"},
-    {KernelPath::kFast, "fast"},
 };
 
 }  // namespace
@@ -33,6 +32,6 @@ std::optional<KernelPath> parseKernelPath(const std::string& name) {
   return std::nullopt;
 }
 
-const char* kernelPathChoices() { return "reference | batched | fast"; }
+const char* kernelPathChoices() { return "reference | batched"; }
 
 }  // namespace tsg

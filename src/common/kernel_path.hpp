@@ -15,23 +15,18 @@ namespace tsg {
 ///  * kReference -- one element at a time; the readable oracle.
 ///  * kBatched   -- fused cluster-contiguous tile GEMMs, bitwise-identical
 ///    to the reference path (tests/test_batched_kernels.cpp).
-///  * kFast      -- the batched tile pipeline with per-ISA compiled row
-///    kernels selected at runtime (cpuid, TSG_FORCE_ISA override).  NOT
-///    bitwise-identical to the reference path; accuracy is gated to 1e-9
-///    relative on receivers (tests/test_fast_backend.cpp).
 enum class KernelPath {
   kReference,
   kBatched,
-  kFast,
 };
 
-/// Canonical config-file spelling: "reference" | "batched" | "fast".
+/// Canonical config-file spelling: "reference" | "batched".
 const char* kernelPathName(KernelPath path);
 
 /// Parse a config-file spelling; nullopt for anything unknown.
 std::optional<KernelPath> parseKernelPath(const std::string& name);
 
-/// "reference | batched | fast" -- for error messages and usage text.
+/// "reference | batched" -- for error messages and usage text.
 const char* kernelPathChoices();
 
 }  // namespace tsg

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "kernels/batched_kernels.hpp"
 #include "kernels/element_kernels.hpp"
 
 namespace tsg {
@@ -43,10 +44,10 @@ void BatchedBackend::predictorBatch(const ElementBatch& batch, bool reset) {
           kNumQuantities;
 
   gatherTile(s_.dofs.data(), elems, width, rm.nb, s_.nbq, ld, stackTiles);
-  k_->aderPredictor(rm, negStarTB, stackTiles, scratchTile, width, ld);
+  batchedAderPredictor(rm, negStarTB, stackTiles, scratchTile, width, ld);
   const real dt =
       clusters.dtMin * static_cast<real>(clusters.spanOf(batch.cluster));
-  k_->taylorIntegrate(rm, stackTiles, 0.0, dt, tIntTile, width, ld);
+  batchedTaylorIntegrate(rm, stackTiles, 0.0, dt, tIntTile, width, ld);
 
   // Scatter the time integral for every lane, but the derivative stack
   // only for elements whose stack is read outside this batch (gravity and
@@ -116,7 +117,7 @@ void BatchedBackend::correctorBatch(const ElementBatch& batch,
 
   const real* starTB =
       ba.starTB.data() + static_cast<std::size_t>(batch.begin) * 3 * stride;
-  k_->volumeKernel(rm, starTB, tIntTile, dofTile, faceScratch, width, ld);
+  batchedVolumeKernel(rm, starTB, tIntTile, dofTile, faceScratch, width, ld);
 
   for (int f = 0; f < 4; ++f) {
     // (a) Per-lane pre-pass: stage the flux-solver products of regular /
@@ -144,15 +145,15 @@ void BatchedBackend::correctorBatch(const ElementBatch& batch,
         case FaceKind::kGravity:
           s_.gravity->computeFlux(info.aux, rm, s_.stackOf(elems[lane]), dt,
                                   fluxQp, scratchBig);
-          k_->pointwiseStrided(rm, rm.faceEvalTW[f], info.scale, fluxQp,
-                               laneDofs, ld);
+          surfaceKernelPointwiseStrided(rm, rm.faceEvalTW[f], info.scale,
+                                        fluxQp, laneDofs, ld);
           break;
         case FaceKind::kRuptureMinus: {
           const real* staged = s_.ruptureFlux.data() +
                                static_cast<std::size_t>(info.aux) * 2 *
                                    rm.nq * kNumQuantities;
-          k_->pointwiseStrided(rm, rm.faceEvalTW[f], info.scale, staged,
-                               laneDofs, ld);
+          surfaceKernelPointwiseStrided(rm, rm.faceEvalTW[f], info.scale,
+                                        staged, laneDofs, ld);
           break;
         }
         case FaceKind::kRupturePlus: {
@@ -161,7 +162,7 @@ void BatchedBackend::correctorBatch(const ElementBatch& batch,
               s_.ruptureFlux.data() +
               (static_cast<std::size_t>(info.aux) * 2 + 1) * rm.nq *
                   kNumQuantities;
-          k_->pointwiseStrided(
+          surfaceKernelPointwiseStrided(
               rm,
               rm.faceEvalNeighborTW[ff.minusFace][ff.plusFace][ff.permutation],
               info.scale, staged, laneDofs, ld);
@@ -175,8 +176,8 @@ void BatchedBackend::correctorBatch(const ElementBatch& batch,
         s_.recordSeafloorUplift(info.seafloor, elems[lane], f);
       }
     }
-    k_->localFluxStage(rm.nb, width, ld, tIntTile, negFluxPtrs.data(),
-                       faceScratch);
+    batchedLocalFluxStage(rm.nb, width, ld, tIntTile, negFluxPtrs.data(),
+                          faceScratch);
 
     // (b) One blocked GEMM per run of consecutive regular/boundary lanes:
     // dofs -= fluxLocal[f] * staged flux products.
@@ -197,7 +198,7 @@ void BatchedBackend::correctorBatch(const ElementBatch& batch,
                              kindOf(end) == FaceKind::kBoundaryFolded)) {
         ++end;
       }
-      k_->gemmAccStrided(
+      gemmAccStrided(
           rm.nb, kNumQuantities * (end - lane), rm.nb, rm.fluxLocal[f].data(),
           rm.nb,
           faceScratch + static_cast<std::size_t>(lane) * kNumQuantities, ld,
@@ -239,8 +240,8 @@ void BatchedBackend::correctorBatch(const ElementBatch& batch,
       ln.fluxNeighbor =
           rm.fluxNeighbor[f][info.neighborFace][info.permutation].data();
     }
-    k_->neighborFluxStage(rm.nb, width, ld, nbrLanes.data(), scratch,
-                          dofTile);
+    batchedNeighborFluxStage(rm.nb, width, ld, nbrLanes.data(), scratch,
+                             dofTile);
   }
 
   scatterTile(dofTile, elems, width, rm.nb, s_.nbq, ld, s_.dofs.data());

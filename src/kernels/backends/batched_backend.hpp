@@ -2,10 +2,9 @@
 
 // The batched pipeline: one cluster-contiguous batch per tile, fused
 // blocked GEMMs over interleaved tiles (see kernels/batch_layout.hpp).
-// Stage kernels are called through a StageKernels table; bound to
-// batchedStageKernels() the pipeline is bitwise-identical to the
-// reference backend (pinned by tests/test_batched_kernels.cpp), and the
-// fast backend reuses this driver with per-ISA tables.
+// The stage kernels of kernels/batched_kernels.* are called directly; the
+// pipeline is bitwise-identical to the reference backend (pinned by
+// tests/test_batched_kernels.cpp).
 //
 // The cluster-contiguous operand tensors (layout, batch-ordered faces,
 // negated star/flux matrices) are pure functions of the static asset
@@ -18,7 +17,6 @@
 #include <vector>
 
 #include "kernels/backends/kernel_backend.hpp"
-#include "kernels/backends/stage_kernels.hpp"
 #include "kernels/batch_layout.hpp"
 #include "solver/simulation_assets.hpp"
 
@@ -26,11 +24,9 @@ namespace tsg {
 
 class BatchedBackend : public KernelBackend {
  public:
-  explicit BatchedBackend(SolverState& state)
-      : BatchedBackend(state, batchedStageKernels(), "batched") {}
+  explicit BatchedBackend(SolverState& state) : KernelBackend(state) {}
 
-  const char* name() const override { return name_; }
-  const char* isa() const override { return k_->isa; }
+  const char* name() const override { return "batched"; }
 
   void prepare() override;
   void invalidateLayout() override { ba_.reset(); }
@@ -61,13 +57,6 @@ class BatchedBackend : public KernelBackend {
                       : autoBatchSize(s_.rm->nb, s_.cfg->degree));
   }
 
- protected:
-  BatchedBackend(SolverState& state, const StageKernels& kernels,
-                 const char* name)
-      : KernelBackend(state), k_(&kernels), name_(name) {}
-
-  const StageKernels* k_;
-
  private:
   void predictorBatch(const ElementBatch& batch, bool reset);
   void correctorBatch(const ElementBatch& batch, std::int64_t tick);
@@ -76,7 +65,6 @@ class BatchedBackend : public KernelBackend {
                                  static_cast<int>(tile)];
   }
 
-  const char* name_;
   // Shared batched operand tensors (null until prepare()).
   std::shared_ptr<const BatchedAssets> ba_;
 };

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "kernels/backends/batched_backend.hpp"
-#include "kernels/backends/fast_backend.hpp"
 #include "kernels/backends/reference_backend.hpp"
 
 namespace tsg {
@@ -36,8 +35,6 @@ std::unique_ptr<KernelBackend> makeKernelBackend(SolverState& state) {
       return std::make_unique<ReferenceBackend>(state);
     case KernelPath::kBatched:
       return std::make_unique<BatchedBackend>(state);
-    case KernelPath::kFast:
-      return std::make_unique<FastBackend>(state);
   }
   throw std::invalid_argument("makeKernelBackend: unknown kernel path");
 }

@@ -10,10 +10,7 @@
 // Backends:
 //  * reference -- one element per tile, the readable per-element oracle;
 //  * batched   -- one cluster-contiguous batch per tile, fused blocked
-//    GEMMs, bitwise-identical to reference;
-//  * fast      -- the batched layout with per-ISA compiled stage kernels
-//    (scalar/SSE2/AVX2/AVX-512 translation units, runtime cpuid dispatch,
-//    TSG_FORCE_ISA override); relaxes the bitwise-identity contract.
+//    GEMMs, bitwise-identical to reference.
 
 #include <cstdint>
 #include <memory>
@@ -28,11 +25,8 @@ class KernelBackend {
  public:
   virtual ~KernelBackend() = default;
 
-  /// Canonical name: "reference" | "batched" | "fast".
+  /// Canonical name: "reference" | "batched".
   virtual const char* name() const = 0;
-  /// Instruction-set variant executing the stage kernels ("generic" for
-  /// the portable backends; "scalar"/"sse2"/"avx2"/"avx512" for fast).
-  virtual const char* isa() const = 0;
 
   /// (Re)build layout-dependent data.  Called at the start of every
   /// advance; must be idempotent and cheap when already prepared.
@@ -88,8 +82,7 @@ class KernelBackend {
 real* backendThreadScratch(int slot, std::size_t size);
 
 /// Factory for the configured kernel path (throws std::invalid_argument
-/// for an unknown path; the fast backend resolves its ISA here, throwing
-/// std::runtime_error for an unusable TSG_FORCE_ISA).
+/// for an unknown path).
 std::unique_ptr<KernelBackend> makeKernelBackend(SolverState& state);
 
 }  // namespace tsg

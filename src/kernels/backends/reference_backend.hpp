@@ -1,7 +1,7 @@
 #pragma once
 
 // The per-element reference pipeline: one element per tile, kernels from
-// kernels/element_kernels.hpp.  Kept as the readable oracle every other
+// kernels/element_kernels.hpp.  Kept as the readable oracle the batched
 // backend is validated against.
 
 #include "kernels/backends/kernel_backend.hpp"
@@ -13,7 +13,6 @@ class ReferenceBackend : public KernelBackend {
   explicit ReferenceBackend(SolverState& state) : KernelBackend(state) {}
 
   const char* name() const override { return "reference"; }
-  const char* isa() const override { return "generic"; }
 
   std::size_t numTiles(int cluster) const override {
     return s_.clusters->elementsOfCluster[cluster].size();

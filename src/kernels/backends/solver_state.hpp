@@ -7,9 +7,9 @@
 // shareable SimulationAssets (solver/simulation_assets.hpp) and is
 // exposed here through read-only ConstSpan views under the same field
 // names, so the backends read the exact same expressions whether a run
-// owns its assets or shares them with an ensemble.  All three pipelines
-// (reference, batched, fast) read and write the same arrays and
-// checkpoints stay interchangeable between them.
+// owns its assets or shares them with an ensemble.  Both pipelines
+// (reference, batched) read and write the same arrays and checkpoints
+// stay interchangeable between them.
 
 #include <cstdint>
 #include <vector>

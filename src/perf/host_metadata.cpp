@@ -71,7 +71,6 @@ std::map<std::string, std::string> collectHostMetadata() {
   putEnv(out, "omp_proc_bind", "OMP_PROC_BIND");
   putEnv(out, "omp_places", "OMP_PLACES");
   putEnv(out, "tsg_pin", "TSG_PIN");
-  putEnv(out, "tsg_force_isa", "TSG_FORCE_ISA");
   putEnv(out, "tsg_no_hw_counters", "TSG_NO_HW_COUNTERS");
   return out;
 }

@@ -16,7 +16,6 @@
 
 #include "common/json.hpp"
 #include "io/atomic_file.hpp"
-#include "kernels/backends/isa_dispatch.hpp"
 #include "perf/host_metadata.hpp"
 #include "perf/hw_counters.hpp"
 #include "perfmodel/exec_model.hpp"
@@ -31,21 +30,26 @@ double nowSeconds() {
       .count();
 }
 
-/// DP flops/cycle of one core for the dispatched fast ISA: vector lanes
-/// x 2 (fused multiply-add).  The scalar path still dual-issues
-/// add+mul on every x86-64 of interest, hence 2.
-double flopsPerCycle(FastIsa isa) {
-  switch (isa) {
-    case FastIsa::kAvx512:
-      return 32;
-    case FastIsa::kAvx2:
-      return 16;
-    case FastIsa::kSse2:
-      return 4;
-    case FastIsa::kScalar:
-      return 2;
+struct VectorIsa {
+  const char* name;
+  double flopsPerCycle;
+};
+
+/// The widest vector ISA the peak estimate counts on this host, with the
+/// DP flops/cycle of one core: vector lanes x 2 (fused multiply-add).
+/// The scalar path still dual-issues add+mul on every x86-64 of
+/// interest, hence 2.  AVX-512 is not counted even where available:
+/// sustained 512-bit execution lowers the clock on the Xeon generations
+/// in wide deployment, so 32 flops/cycle would overstate the roof.
+VectorIsa hostVectorIsa() {
+#ifdef __x86_64__
+  if (__builtin_cpu_supports("avx2")) {
+    return {"avx2", 16};
   }
-  return 2;
+  return {"sse2", 4};  // SSE2 is part of the x86-64 baseline.
+#else
+  return {"scalar", 2};
+#endif
 }
 
 /// Sustained clock from the hardware cycle counter: spin ~30 ms on this
@@ -151,6 +155,20 @@ double streamTriadGbytesPerS(int threads) {
 
 }  // namespace
 
+const char* ghzSourceName(GhzSource source) {
+  switch (source) {
+    case GhzSource::kCycleCounter:
+      return "cycle_counter";
+    case GhzSource::kCpuModel:
+      return "cpu_model";
+    case GhzSource::kCpuMhz:
+      return "cpu_mhz";
+    case GhzSource::kDefault:
+      return "default";
+  }
+  return "default";
+}
+
 HostProbe probeHost(int threads) {
   HostProbe probe;
   if (threads <= 0) {
@@ -162,23 +180,23 @@ HostProbe probeHost(int threads) {
   }
   probe.threads = threads;
 
-  const FastIsa isa = resolveFastIsa();
-  probe.isa = fastIsaName(isa);
-  probe.flopsPerCyclePerCore = flopsPerCycle(isa);
+  const VectorIsa isa = hostVectorIsa();
+  probe.isa = isa.name;
+  probe.flopsPerCyclePerCore = isa.flopsPerCycle;
 
   probe.ghz = ghzFromCycleCounter();
-  probe.ghzSource = "cycle_counter";
+  probe.ghzSource = GhzSource::kCycleCounter;
   if (probe.ghz <= 0) {
     probe.ghz = ghzFromModelString(cpuModelString());
-    probe.ghzSource = "cpu_model";
+    probe.ghzSource = GhzSource::kCpuModel;
   }
   if (probe.ghz <= 0) {
     probe.ghz = ghzFromProcCpuinfo();
-    probe.ghzSource = "cpu_mhz";
+    probe.ghzSource = GhzSource::kCpuMhz;
   }
   if (probe.ghz <= 0) {
     probe.ghz = 2.5;
-    probe.ghzSource = "default";
+    probe.ghzSource = GhzSource::kDefault;
   }
   probe.peakGflops = threads * probe.ghz * probe.flopsPerCyclePerCore;
   probe.streamGbytesPerS = streamTriadGbytesPerS(threads);
@@ -256,7 +274,6 @@ std::string modelCheckJson(const Mesh& mesh, const ClusterLayout& clusters,
   out += "  \"schema\": \"tsg-modelcheck-1\",\n";
   out += "  \"scenario\": " + jsonQuote(meta.scenario) + ",\n";
   out += "  \"backend\": " + jsonQuote(meta.backend) + ",\n";
-  out += "  \"isa\": " + jsonQuote(meta.isa) + ",\n";
   std::snprintf(buf, sizeof buf, "  \"threads\": %d,\n", meta.threads);
   out += buf;
   out += "  \"hw_counters\": ";
@@ -270,7 +287,7 @@ std::string modelCheckJson(const Mesh& mesh, const ClusterLayout& clusters,
                 "\"ghz_source\": %s, \"flops_per_cycle_per_core\": %s, ",
                 host.threads, jsonQuote(host.isa).c_str(),
                 jsonNumber(host.ghz).c_str(),
-                jsonQuote(host.ghzSource).c_str(),
+                jsonQuote(ghzSourceName(host.ghzSource)).c_str(),
                 jsonNumber(host.flopsPerCyclePerCore).c_str());
   out += buf;
   std::snprintf(buf, sizeof buf,

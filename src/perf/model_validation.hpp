@@ -10,7 +10,8 @@
 //    cores from the runtime, a peak-GF/s estimate (cores x sustained GHz
 //    x ISA-dependent DP flops/cycle, GHz measured with the cycle counter
 //    when perf events are available, else parsed from the CPU model
-//    string), and a measured stream-triad memory bandwidth microprobe;
+//    string, else read from /proc/cpuinfo), and a measured stream-triad
+//    memory bandwidth microprobe;
 //  * rooflinePhases(): classifies each measured phase of a PerfMonitor
 //    against that machine's roofline -- arithmetic intensity from
 //    LLC-miss traffic when hardware counters were live (falling back to
@@ -41,14 +42,26 @@
 
 namespace tsg {
 
+/// Where HostProbe::ghz came from, in the order probeHost tries them.
+enum class GhzSource {
+  kCycleCounter,  // hardware cycle counter over a ~30 ms spin
+  kCpuModel,      // the "@ 3.50GHz" suffix of the CPU model string
+  kCpuMhz,        // the first "cpu MHz" line of /proc/cpuinfo
+  kDefault,       // nothing available: 2.5 GHz assumed
+};
+
+/// "cycle_counter" | "cpu_model" | "cpu_mhz" | "default": the
+/// `ghz_source` spelling of the model-check report.
+const char* ghzSourceName(GhzSource source);
+
 /// This host, probed: a single-node MachineSpec plus the measured
 /// numbers backing it.
 struct HostProbe {
   MachineSpec spec;   // name "host"; 1 socket x 1 NUMA x `threads` cores
   int threads = 0;    // worker threads the peak estimate assumes
-  std::string isa;    // fast-ISA the dispatcher selects here
+  std::string isa;    // host vector ISA counted: "avx2" | "sse2" | "scalar"
   double ghz = 0;               // sustained clock estimate
-  std::string ghzSource;        // "cycle_counter" | "cpu_model" | "default"
+  GhzSource ghzSource = GhzSource::kDefault;
   double flopsPerCyclePerCore = 0;  // DP flops/cycle for `isa`
   double peakGflops = 0;            // threads * ghz * flopsPerCycle
   double streamGbytesPerS = 0;      // measured triad bandwidth (all threads)
@@ -83,7 +96,6 @@ std::vector<PhaseRoofline> rooflinePhases(const PerfMonitor& m,
 struct ModelCheckMeta {
   std::string scenario;
   std::string backend;
-  std::string isa;
   int threads = 0;
   std::uint64_t macroCycles = 0;  // measured macro cycles in the monitor
 };

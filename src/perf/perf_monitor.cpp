@@ -395,7 +395,6 @@ std::string perfReportJson(const PerfMonitor& m, const PerfReportMeta& meta) {
   out += "  \"scenario\": " + jsonString(meta.scenario) + ",\n";
   out += "  \"kernel_path\": " + jsonString(meta.kernelPath) + ",\n";
   out += "  \"backend\": " + jsonString(meta.backend) + ",\n";
-  out += "  \"isa\": " + jsonString(meta.isa) + ",\n";
   std::snprintf(buf, sizeof buf,
                 "  \"degree\": %d,\n  \"threads\": %d,\n"
                 "  \"batch_size\": %d,\n  \"elements\": %lld,\n",
@@ -485,7 +484,6 @@ std::string perfReportJson(const PerfMonitor& m, const PerfReportMeta& meta) {
       }
       const PerfBackendResult& b = meta.backends[i];
       out += "{\"backend\":" + jsonString(b.backend) +
-             ",\"isa\":" + jsonString(b.isa) +
              ",\"threads\":" + std::to_string(b.threads) +
              ",\"seconds\":" + jsonNumber(b.seconds) +
              ",\"speedup_vs_reference\":" + jsonNumber(b.speedupVsReference) +

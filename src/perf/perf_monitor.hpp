@@ -290,8 +290,7 @@ struct PerfClusterInfo {
 
 /// One backend's timing in a head-to-head comparison (benchmarks).
 struct PerfBackendResult {
-  std::string backend;  // "reference" | "batched" | "fast"
-  std::string isa;      // "generic" | "scalar" | "sse2" | "avx2" | "avx512"
+  std::string backend;  // "reference" | "batched"
   int threads = 1;      // OpenMP worker threads the timing ran with
   double seconds = 0;
   double speedupVsReference = 0;
@@ -299,9 +298,8 @@ struct PerfBackendResult {
 
 struct PerfReportMeta {
   std::string scenario;
-  std::string kernelPath;  // "reference" | "batched" | "fast"
+  std::string kernelPath;  // "reference" | "batched"
   std::string backend;     // stage-execution backend (KernelBackend::name)
-  std::string isa;         // ISA variant executing the stage kernels
   int degree = 0;
   int threads = 0;
   int batchSize = 0;

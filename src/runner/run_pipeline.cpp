@@ -345,8 +345,7 @@ RunResult runPipeline(const std::string& configPath, const ConfigFile& cfg,
              logInt("elements", sim->mesh().numElements()),
              logInt("degree", o.degree), logNum("dt_min", sim->dtMin()),
              logInt("clusters", sim->clusters().numClusters),
-             logStr("backend", sim->backend().name()),
-             logStr("isa", sim->backend().isa())});
+             logStr("backend", sim->backend().name())});
   }
   for (int s = 1; s <= o.snapshots; ++s) {
     sim->advanceTo(o.endTime * s / o.snapshots);
@@ -408,7 +407,6 @@ RunResult runPipeline(const std::string& configPath, const ConfigFile& cfg,
       ModelCheckMeta mm;
       mm.scenario = scenarioName;
       mm.backend = pm.backend;
-      mm.isa = pm.isa;
       mm.threads = pm.threads;
       mm.macroCycles = macroCycles;
       const SimulationAssets& assets = *sim->assets();

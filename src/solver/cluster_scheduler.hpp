@@ -56,7 +56,7 @@ namespace tsg {
 /// of light per-element tiles are not scheduled individually.  The
 /// persistent-region scheduler replaced its users with ThreadPlan's
 /// static weighted slices; kept as the sizing heuristic for embedders'
-/// own loops (and pinned by tests/test_fast_backend.cpp).
+/// own loops (and pinned by tests/test_threading.cpp).
 inline int ltsChunkSize(std::size_t tiles, int threads) {
   const std::size_t perThread =
       tiles / (4 * static_cast<std::size_t>(std::max(threads, 1)));

@@ -61,8 +61,6 @@ std::string incidentJson(const HealthReport& report) {
   out << ",\n  \"fault_face\": " << report.faultFace;
   out << ",\n  \"backend\": ";
   appendJsonString(out, report.backend);
-  out << ",\n  \"isa\": ";
-  appendJsonString(out, report.isa);
   out << ",\n  \"kernel_path\": ";
   appendJsonString(out, report.kernelPath);
   {
@@ -104,7 +102,6 @@ void HealthMonitor::check(const Simulation& sim) {
   report.time = sim.time();
   report.tick = sim.tick();
   report.backend = sim.backend().name();
-  report.isa = sim.backend().isa();
   report.kernelPath = kernelPathName(sim.config().kernelPath);
   report.configHash = sim.configHash();
   if (metricsProvider_) {

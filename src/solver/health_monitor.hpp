@@ -43,7 +43,6 @@ struct HealthReport {
   // Run metadata, so an incident report alone identifies the build/config
   // that produced it (bug reports arrive without the run's stdout).
   std::string backend;      // kernel backend name ("batched", ...)
-  std::string isa;          // dispatched ISA ("avx2", "scalar", ...)
   std::string kernelPath;   // configured kernel path name
   std::uint64_t configHash = 0;  // solver config hash (checkpoint identity)
   // Latest telemetry physics sample as a JSON object ("" when no

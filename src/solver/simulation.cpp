@@ -230,7 +230,6 @@ PerfReportMeta Simulation::perfReportMeta(const std::string& scenario) const {
   meta.scenario = scenario;
   meta.kernelPath = kernelPathName(cfg_.kernelPath);
   meta.backend = backend_->name();
-  meta.isa = backend_->isa();
   meta.degree = cfg_.degree;
   // Prefer the thread count the scheduler actually ran with; ambient
   // omp_get_max_threads() may have changed since (it is only the fallback

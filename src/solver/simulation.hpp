@@ -16,7 +16,7 @@
 //    distribution over each phase's tiles;
 //  * KernelBackend (kernels/backends/): the predictor / volume / surface
 //    / corrector stage kernels over the backend's data layout
-//    (reference, batched, fast -- see common/kernel_path.hpp).
+//    (reference, batched -- see common/kernel_path.hpp).
 //
 // Physics orchestrated across the layers:
 //  * ADER space-time predictor per element (Sec. 4.1),

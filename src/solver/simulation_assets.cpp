@@ -52,8 +52,16 @@ std::uint64_t computeAssetHash(const Mesh& mesh,
   h = fnv1aOf(h, cfg.maxClusters);
   h = fnv1a(h, mesh.vertices.data(), mesh.vertices.size() * sizeof(Vec3));
   h = fnv1a(h, mesh.elements.data(), mesh.elements.size() * sizeof(Element));
-  h = fnv1a(h, mesh.faces.data(),
-            mesh.faces.size() * sizeof(std::array<FaceInfo, 4>));
+  // Field by field: FaceInfo has padding after its one-byte `bc`, whose
+  // bytes differ between otherwise equal meshes.
+  for (const auto& faces : mesh.faces) {
+    for (const FaceInfo& f : faces) {
+      h = fnv1aOf(h, f.neighbor);
+      h = fnv1aOf(h, f.neighborFace);
+      h = fnv1aOf(h, f.permutation);
+      h = fnv1aOf(h, f.bc);
+    }
+  }
   h = fnv1a(h, materialTable.data(), materialTable.size() * sizeof(Material));
   return h;
 }

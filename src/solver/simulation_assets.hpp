@@ -15,7 +15,7 @@
 //    pairs (with their aux indices pre-assigned in the canonical order),
 //    per-cluster fault-face id lists, seafloor recorder geometry;
 //  * the cluster-contiguous batched operand tensors (lazily built per
-//    batch size and cached, shared by the batched and fast backends).
+//    batch size and cached, shared by every batched backend instance).
 //
 // Everything per-run -- DOFs, eta, friction state, uplift accumulators,
 // receivers, the clock -- stays in Simulation/SolverState.  The ensemble
@@ -94,7 +94,7 @@ struct SeafloorFaceGeometry {
   std::vector<real> qpX, qpY;  // [nq] physical quadrature points
 };
 
-/// Batch-ordered face metadata of the batched/fast pipelines.
+/// Batch-ordered face metadata of the batched pipeline.
 struct BatchFaceInfo {
   FaceKind kind = FaceKind::kRegular;
   std::uint8_t neighborFace = 0, permutation = 0;
@@ -106,7 +106,7 @@ struct BatchFaceInfo {
   real scale = 0;
 };
 
-/// The cluster-contiguous operand tensors of the batched/fast backends,
+/// The cluster-contiguous operand tensors of the batched backend,
 /// a pure relayout of the asset arrays for one batch size.
 struct BatchedAssets {
   ClusterBatchLayout layout;

@@ -31,10 +31,8 @@ struct SolverConfig {
   // Kernel pipeline selection (see common/kernel_path.hpp).  Like
   // `deterministic`, the path changes the execution strategy but not the
   // state layout, so it is deliberately excluded from configHash():
-  // checkpoints are interchangeable between all paths.  Reference and
-  // batched also produce bitwise-identical results; `fast` does not (it
-  // trades the bitwise-identity contract for per-ISA vectorised kernels)
-  // but stays within 1e-9 relative on receivers.
+  // checkpoints are interchangeable between both paths, which also
+  // produce bitwise-identical results.
   KernelPath kernelPath = KernelPath::kBatched;
   int batchSize = 0;  // elements per batch tile; <= 0 selects an L2-sized
                       // default (see autoBatchSize)

@@ -37,7 +37,6 @@ std::string metricsHeaderJson(const Simulation& sim,
   out += ",\"end_time\":" + jsonNumber(o.endTime);
   out += ",\"metrics_interval\":" + jsonNumber(o.metricsInterval);
   out += ",\"backend\":" + jsonQuote(sim.backend().name());
-  out += ",\"isa\":" + jsonQuote(sim.backend().isa());
   out += "}";
   return out;
 }

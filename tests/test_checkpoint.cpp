@@ -4,13 +4,15 @@
 //    continues bitwise-identically (receiver CSVs byte-compare equal),
 //  * header/CRC validation rejects truncated, bit-flipped, wrong-degree,
 //    and wrong-config files with descriptive errors,
-//  * atomic temp+rename writes never clobber the previous checkpoint.
+//  * atomic temp+rename writes never clobber the previous checkpoint,
+//  * the asset hash in the header depends on mesh field values only.
 
 #include <omp.h>
 #include <unistd.h>
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -442,6 +444,36 @@ TEST(Checkpoint, SaveRejectedOffMacroBoundaryStateIsImpossibleViaApi) {
   EXPECT_EQ(sim->tick() % sim->clusters().ticksPerMacro(), 0);
   EXPECT_NO_THROW(sim->saveCheckpoint("ckpt_boundary.tsgck"));
   std::remove("ckpt_boundary.tsgck");
+}
+
+// The asset hash keys the checkpoint header and the ensemble asset cache,
+// so it must see field values only: the padding after FaceInfo's one-byte
+// BoundaryType is indeterminate and differs between processes.
+TEST(Checkpoint, AssetHashIgnoresFaceInfoPadding) {
+  BoxMeshSpec spec;
+  spec.xLines = uniformLine(0, 1000, 2);
+  spec.yLines = uniformLine(0, 1000, 2);
+  spec.zLines = uniformLine(-800, 0, 2);
+  const Mesh base = buildBoxMesh(spec);
+  auto withPadding = [&](unsigned char fill) {
+    Mesh m = base;
+    for (std::size_t e = 0; e < m.faces.size(); ++e) {
+      for (int f = 0; f < 4; ++f) {
+        const FaceInfo& src = base.faces[e][f];
+        FaceInfo& dst = m.faces[e][f];
+        std::memset(static_cast<void*>(&dst), fill, sizeof dst);
+        dst.neighbor = src.neighbor;
+        dst.neighborFace = src.neighborFace;
+        dst.permutation = src.permutation;
+        dst.bc = src.bc;
+      }
+    }
+    return m;
+  };
+  const std::vector<Material> mats{Material::fromVelocities(2700, 6000, 3464)};
+  const AssetConfig cfg;
+  EXPECT_EQ(computeAssetHash(withPadding(0x00), mats, cfg),
+            computeAssetHash(withPadding(0xff), mats, cfg));
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 //  * duplicate keys are a typed ConfigError naming both lines (the old
 //    last-writer-wins behaviour silently masked copy-paste mistakes),
 //  * typed getters qualify every parse error with the full key path,
-//  * number lists, unused-key tracking, and header validation.
+//  * number lists, unused-key tracking, and header validation,
+//  * the kernel-path <-> string mapping round-trips (common/kernel_path)
+//    and the run config rejects any other kernel_path spelling.
 
 #include <string>
 #include <vector>
@@ -13,6 +15,8 @@
 
 #include "common/config.hpp"
 #include "common/errors.hpp"
+#include "common/kernel_path.hpp"
+#include "runner/run_pipeline.hpp"
 
 namespace tsg {
 namespace {
@@ -184,6 +188,27 @@ TEST(ConfigSections, CommentsAndBlankLinesIgnoredEverywhere) {
       "b = 2\n");
   EXPECT_EQ(cfg.getNumber("a", 0), 1.0);
   EXPECT_EQ(cfg.uniqueSection("s").getNumber("b", 0), 2.0);
+}
+
+TEST(KernelPath, NameParseRoundTrip) {
+  for (const KernelPath p : {KernelPath::kReference, KernelPath::kBatched}) {
+    const auto parsed = parseKernelPath(kernelPathName(p));
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(*parsed, p);
+  }
+  EXPECT_FALSE(parseKernelPath("fast").has_value());
+  EXPECT_FALSE(parseKernelPath("bogus").has_value());
+  EXPECT_FALSE(parseKernelPath("").has_value());
+  // The choices string advertises every parseable name.
+  const std::string choices = kernelPathChoices();
+  EXPECT_NE(choices.find("reference"), std::string::npos);
+  EXPECT_NE(choices.find("batched"), std::string::npos);
+}
+
+TEST(ConfigSections, RunConfigRejectsUnknownKernelPath) {
+  expectConfigError(
+      [] { readRunOptions(ConfigFile::parse("kernel_path = fast\n")); },
+      "reference | batched");
 }
 
 }  // namespace

@@ -146,14 +146,12 @@ TEST(Health, IncidentEmbedsRunMetadataAndMetrics) {
     FAIL() << "NaN state did not trigger the health monitor";
   } catch (const SolverDivergedError& e) {
     EXPECT_EQ(e.report().backend, sim->backend().name());
-    EXPECT_EQ(e.report().isa, sim->backend().isa());
     EXPECT_EQ(e.report().configHash, sim->configHash());
     EXPECT_EQ(e.report().metricsJson, "{\"t\":1.25,\"max_abs_eta\":0.5}");
   }
   ASSERT_TRUE(fileExists("health_meta_incident.json"));
   const std::string json = fileBytes("health_meta_incident.json");
   EXPECT_NE(json.find("\"backend\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"isa\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"kernel_path\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"config_hash\": \"0x"), std::string::npos) << json;
   EXPECT_NE(json.find("\"metrics\": {\"t\":1.25"), std::string::npos) << json;

@@ -55,9 +55,8 @@ void measurePhases(PerfMonitor& m) {
 PerfReportMeta minimalMeta() {
   PerfReportMeta meta;
   meta.scenario = "unit";
-  meta.kernelPath = "fast";
+  meta.kernelPath = "batched";
   meta.backend = "batched";
-  meta.isa = "scalar";
   meta.degree = 2;
   meta.threads = 1;
   meta.elements = 64;
@@ -187,10 +186,12 @@ TEST(HostProbe, InternallyConsistentPeakAndRidge) {
   EXPECT_EQ(host.threads, 1);
   EXPECT_GT(host.ghz, 0.4);
   EXPECT_LT(host.ghz, 7.0);
-  EXPECT_TRUE(host.ghzSource == "cycle_counter" ||
-              host.ghzSource == "cpu_model" || host.ghzSource == "default")
-      << host.ghzSource;
-  // DP flops/cycle follows the dispatched ISA tier.
+  EXPECT_TRUE(host.ghzSource == GhzSource::kCycleCounter ||
+              host.ghzSource == GhzSource::kCpuModel ||
+              host.ghzSource == GhzSource::kCpuMhz ||
+              host.ghzSource == GhzSource::kDefault)
+      << ghzSourceName(host.ghzSource);
+  // DP flops/cycle follows the host's vector ISA tier.
   EXPECT_TRUE(host.flopsPerCyclePerCore == 2 ||
               host.flopsPerCyclePerCore == 4 ||
               host.flopsPerCyclePerCore == 16 ||
@@ -257,7 +258,6 @@ TEST(ModelCheck, SchemaCarriesRooflineAndDrift) {
   ModelCheckMeta meta;
   meta.scenario = "unit";
   meta.backend = "batched";
-  meta.isa = host.isa;
   meta.threads = 1;
   meta.macroCycles = 3;
 

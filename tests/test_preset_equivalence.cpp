@@ -131,8 +131,7 @@ void expectPresetMatchesBuiltin(const std::string& name, KernelPath path,
 
 // Full backend x thread matrix on the cheapest scenario.
 TEST(PresetEquivalence, QuickstartMatchesBuiltinAcrossBackendsAndThreads) {
-  for (const KernelPath path :
-       {KernelPath::kReference, KernelPath::kBatched, KernelPath::kFast}) {
+  for (const KernelPath path : {KernelPath::kReference, KernelPath::kBatched}) {
     for (const int threads : {1, 4}) {
       expectPresetMatchesBuiltin("quickstart", path, threads);
     }

@@ -7,7 +7,9 @@
 //    stats into the same totals the serial bracket would produce,
 //  * runtimeWorkerCpus implements the paper's Sec. 5.2 placement policy
 //    (sacrificed core when there is room, wrap-around when oversubscribed),
-//  * the perf report records the worker thread count.
+//  * the perf report records the worker thread count,
+//  * the dynamic-chunk heuristic ltsChunkSize clamps and scales as
+//    documented (solver/cluster_scheduler).
 
 #include <omp.h>
 
@@ -24,6 +26,7 @@
 #include "perf/perf_monitor.hpp"
 #include "perfmodel/pinning.hpp"
 #include "scenario/megathrust.hpp"
+#include "solver/cluster_scheduler.hpp"
 #include "solver/simulation.hpp"
 #include "solver/thread_plan.hpp"
 
@@ -319,6 +322,20 @@ TEST(Threading, SchedulerHonorsPinThreadsConfigWithoutChangingResults) {
   const auto& qb = pinned->dofsData();
   ASSERT_EQ(qa.size(), qb.size());
   EXPECT_EQ(0, std::memcmp(qa.data(), qb.data(), qa.size() * sizeof(real)));
+}
+
+TEST(ClusterSchedulerChunk, ClampsAndScales) {
+  // Few tiles: hand them out one by one.
+  EXPECT_EQ(ltsChunkSize(0, 8), 1);
+  EXPECT_EQ(ltsChunkSize(7, 8), 1);
+  EXPECT_EQ(ltsChunkSize(32, 8), 1);
+  // ~4 chunks per thread in the scaling regime.
+  EXPECT_EQ(ltsChunkSize(4 * 8 * 10, 8), 10);
+  EXPECT_EQ(ltsChunkSize(4 * 4 * 25, 4), 25);
+  // Huge loops saturate at 32 so chunks stay cache-friendly.
+  EXPECT_EQ(ltsChunkSize(1000000, 2), 32);
+  // Degenerate thread counts do not divide by zero.
+  EXPECT_GE(ltsChunkSize(100, 0), 1);
 }
 
 }  // namespace

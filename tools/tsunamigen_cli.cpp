@@ -71,8 +71,7 @@ max_energy_growth   = 100.0        # allowed energy growth factor per macro cycl
 metrics_interval    = 0            # [s] of simulated time between physics samples
                                    # written to <output_prefix>_metrics.jsonl; 0 = off
 kernel_path         = batched      # reference (per element) | batched (fused cluster
-                                   # tiles, bitwise == reference) | fast (per-ISA SIMD
-                                   # kernels, runtime cpuid dispatch, ~1e-9 vs reference)
+                                   # tiles, bitwise == reference)
 threads             = 0            # OpenMP worker threads; 0 = OMP_NUM_THREADS/default.
                                    # Results are bitwise identical across thread counts.
 pin_threads         = false        # pin workers to cores (paper Sec. 5.2 placement;
