@@ -4,6 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "basis/dubiner.hpp"
 #include "io/atomic_file.hpp"
 
 namespace tsg {
@@ -55,25 +56,44 @@ void writeVtkMesh(const std::string& path, const Mesh& mesh,
   atomicWriteFile(path, out.str());  // throws IoError naming the path
 }
 
-void writeVtkWavefield(const std::string& path, const Simulation& sim) {
+std::map<std::string, std::vector<real>> wavefieldCellData(
+    const Simulation& sim) {
   static const char* kNames[kNumQuantities] = {
       "sxx", "syy", "szz", "sxy", "syz", "sxz", "vx", "vy", "vz"};
-  const Mesh& mesh = sim.mesh();
+  const int n = sim.mesh().numElements();
   std::map<std::string, std::vector<real>> fields;
+  std::vector<real>* column[kNumQuantities];
   for (int q = 0; q < kNumQuantities; ++q) {
-    fields[kNames[q]].resize(mesh.numElements());
+    column[q] = &fields[kNames[q]];
+    column[q]->resize(n);
   }
   auto& pressure = fields["pressure"];
-  pressure.resize(mesh.numElements());
-  const Vec3 centroidXi{0.25, 0.25, 0.25};
-  for (int e = 0; e < mesh.numElements(); ++e) {
-    const auto v = sim.evaluate(e, centroidXi);
+  pressure.resize(n);
+  // Centroid basis values, tabulated once; accumulated l-ascending as in
+  // Simulation::evaluate, so every cell value matches it bitwise.
+  const int degree = sim.config().degree;
+  const int nb = basisSize(degree);
+  std::vector<real> phi(nb);
+  dubinerTetAll(degree, {0.25, 0.25, 0.25}, phi.data());
+  const real* dofs = sim.dofsData().data();
+  for (int e = 0; e < n; ++e) {
+    const real* dq = dofs + static_cast<std::size_t>(e) * nb * kNumQuantities;
+    real v[kNumQuantities] = {};
+    for (int l = 0; l < nb; ++l) {
+      for (int q = 0; q < kNumQuantities; ++q) {
+        v[q] += phi[l] * dq[l * kNumQuantities + q];
+      }
+    }
     for (int q = 0; q < kNumQuantities; ++q) {
-      fields[kNames[q]][e] = v[q];
+      (*column[q])[e] = v[q];
     }
     pressure[e] = -(v[kSxx] + v[kSyy] + v[kSzz]) / 3.0;
   }
-  writeVtkMesh(path, mesh, fields);
+  return fields;
+}
+
+void writeVtkWavefield(const std::string& path, const Simulation& sim) {
+  writeVtkMesh(path, sim.mesh(), wavefieldCellData(sim));
 }
 
 void writeVtkSurface(const std::string& path,

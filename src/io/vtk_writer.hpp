@@ -18,8 +18,13 @@ namespace tsg {
 void writeVtkMesh(const std::string& path, const Mesh& mesh,
                   const std::map<std::string, std::vector<real>>& cellData);
 
-/// Write the element-mean wavefield of a simulation (all nine quantities
-/// plus pressure) as cell data.
+/// Per-cell wavefield of a simulation: all nine quantities plus pressure,
+/// evaluated at each element's centroid (bitwise equal to
+/// Simulation::evaluate there).
+std::map<std::string, std::vector<real>> wavefieldCellData(
+    const Simulation& sim);
+
+/// Write wavefieldCellData(sim) as cell data of the simulation's mesh.
 void writeVtkWavefield(const std::string& path, const Simulation& sim);
 
 /// Write scattered sea-surface samples as VTK polydata points with eta.

@@ -26,6 +26,12 @@ struct EnergyBudget {
 };
 
 /// Quadrature-exact energy integrals of the current simulation state.
+///
+/// Cost: one pass over all elements that reads the basis tabulated at the
+/// volume quadrature points (ReferenceMatrices::volEval) and the DOFs in
+/// place -- no basis evaluation per point.  The element loop is threaded;
+/// per-element partials are summed serially in element order, so the
+/// result is bitwise identical at every thread count.
 EnergyBudget computeEnergy(const Simulation& sim);
 
 }  // namespace tsg

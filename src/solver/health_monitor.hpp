@@ -19,6 +19,12 @@
 // offending element/cluster, energy history) and throws the typed
 // SolverDivergedError, so the caller stops at the last consistent
 // macro-cycle boundary instead of producing silent NaN-filled output.
+//
+// Cost per check: the DOF scan and computeEnergy are threaded passes over
+// all elements (the energy pass reads the tabulated basis and sums its
+// per-element partials in element order, so the energy history is bitwise
+// identical at every thread count); the eta and fault scans are
+// O(gravity faces) and O(fault faces).
 
 #include <cstdint>
 #include <functional>

@@ -25,8 +25,9 @@
 //    for gravity-eta RK updates and receiver samples (which happen
 //    inside parallel kernel regions and cannot be spanned individually).
 //
-// Cost model: capture runs computeEnergy (one quadrature pass over all
-// elements, same as the health monitor's existing per-cycle check) plus
+// Cost model: capture runs computeEnergy (one threaded quadrature pass
+// over all elements on the tabulated basis, bitwise independent of the
+// thread count; the health monitor runs the same pass per cycle) plus
 // O(faces + receivers) reductions; the JSONL rewrite is O(samples so
 // far), so long runs should set a metricsInterval that keeps the stream
 // to a few thousand records.  With no telemetry configured nothing is

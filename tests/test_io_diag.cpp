@@ -1,7 +1,12 @@
+#include <omp.h>
+
 #include <cmath>
 #include <complex>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <memory>
+#include <random>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -10,12 +15,55 @@
 #include "common/errors.hpp"
 #include "geometry/mesh_builder.hpp"
 #include "io/vtk_writer.hpp"
+#include "kernels/reference_matrices.hpp"
 #include "linking/kajiura.hpp"
 #include "solver/diagnostics.hpp"
 #include "solver/simulation.hpp"
 
 namespace tsg {
 namespace {
+
+/// Restores the global OpenMP thread count on scope exit.
+struct ThreadCountGuard {
+  int saved = omp_get_max_threads();
+  ~ThreadCountGuard() { omp_set_num_threads(saved); }
+};
+
+/// Coupled box, elastic below z = 0.5 and acoustic above, holding a seeded
+/// smooth state: one random plane wave per quantity, so every basis mode
+/// of every element carries a nonzero coefficient.
+std::unique_ptr<Simulation> seededCoupledBox(int degree, unsigned seed) {
+  BoxMeshSpec spec;
+  spec.xLines = uniformLine(0, 1, 2);
+  spec.yLines = uniformLine(0, 1, 2);
+  spec.zLines = uniformLine(0, 1, 4);
+  spec.material = [](const Vec3& c) { return c[2] > 0.5 ? 1 : 0; };
+  SolverConfig cfg;
+  cfg.degree = degree;
+  cfg.gravity = 0;
+  auto sim = std::make_unique<Simulation>(
+      buildBoxMesh(spec),
+      std::vector<Material>{Material::fromVelocities(2.7, 6.0, 3.5),
+                            Material::acoustic(1.0, 1.5)},
+      cfg);
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<real> u(-1.0, 1.0);
+  std::array<real, kNumQuantities> amp{}, phase{};
+  std::array<Vec3, kNumQuantities> k{};
+  for (int p = 0; p < kNumQuantities; ++p) {
+    amp[p] = u(rng);
+    phase[p] = 3.0 * u(rng);
+    k[p] = {4.0 * u(rng), 4.0 * u(rng), 4.0 * u(rng)};
+  }
+  sim->setInitialCondition([&](const Vec3& x, int) {
+    std::array<real, kNumQuantities> q{};
+    for (int p = 0; p < kNumQuantities; ++p) {
+      q[p] = amp[p] * std::sin(dot(k[p], x) + phase[p]);
+    }
+    return q;
+  });
+  return sim;
+}
 
 TEST(Fft, RoundTripAndParseval) {
   std::vector<std::complex<real>> a(64);
@@ -205,6 +253,93 @@ TEST(Energy, ClosedBoxConservesEnergyUpToUpwindDissipation) {
   }
   // Smooth field at order 3: dissipation must be small.
   EXPECT_GT(prev, 0.9 * e0);
+}
+
+/// Pointwise oracle: the energy quadrature written directly on
+/// Simulation::evaluate at every volume quadrature point.
+EnergyBudget pointwiseEnergy(const Simulation& sim) {
+  const auto& rm = referenceMatrices(sim.config().degree);
+  const Mesh& mesh = sim.mesh();
+  EnergyBudget e;
+  for (int elem = 0; elem < mesh.numElements(); ++elem) {
+    const Material& m = sim.materialOf(elem);
+    const real jac = 6.0 * mesh.volume(elem);
+    real kin = 0, strain = 0;
+    for (std::size_t i = 0; i < rm.volQuadXi.size(); ++i) {
+      const auto q = sim.evaluate(elem, rm.volQuadXi[i]);
+      const real w = rm.volQuadW[i] * jac;
+      kin += w * 0.5 * m.rho *
+             (q[kVx] * q[kVx] + q[kVy] * q[kVy] + q[kVz] * q[kVz]);
+      if (m.isAcoustic()) {
+        const real p = -(q[kSxx] + q[kSyy] + q[kSzz]) / 3.0;
+        strain += w * p * p / (2.0 * m.lambda);
+      } else {
+        const real tr = q[kSxx] + q[kSyy] + q[kSzz];
+        const real ss = q[kSxx] * q[kSxx] + q[kSyy] * q[kSyy] +
+                        q[kSzz] * q[kSzz] +
+                        2.0 * (q[kSxy] * q[kSxy] + q[kSyz] * q[kSyz] +
+                               q[kSxz] * q[kSxz]);
+        strain += w / (4.0 * m.mu) *
+                  (ss - m.lambda / (3.0 * m.lambda + 2.0 * m.mu) * tr * tr);
+      }
+    }
+    e.kinetic += kin;
+    if (m.isAcoustic()) {
+      e.strainAcoustic += strain;
+    } else {
+      e.strainElastic += strain;
+    }
+  }
+  return e;
+}
+
+TEST(Energy, TabulatedPassMatchesPointwiseOracleBitwise) {
+  // computeEnergy reads the tabulated basis and sums per-element partials
+  // in element order, so it must reproduce the pointwise formula exactly,
+  // at any thread count.
+  ThreadCountGuard guard;
+  for (int degree : {2, 3}) {
+    const auto sim = seededCoupledBox(degree, 20u + degree);
+    const EnergyBudget want = pointwiseEnergy(*sim);
+    ASSERT_GT(want.kinetic, 0);
+    ASSERT_GT(want.strainElastic, 0);
+    ASSERT_GT(want.strainAcoustic, 0);
+    const real wantParts[3] = {want.kinetic, want.strainElastic,
+                               want.strainAcoustic};
+    for (int threads : {1, 2, 4}) {
+      omp_set_num_threads(threads);
+      const EnergyBudget got = computeEnergy(*sim);
+      const real gotParts[3] = {got.kinetic, got.strainElastic,
+                                got.strainAcoustic};
+      EXPECT_EQ(0, std::memcmp(gotParts, wantParts, sizeof gotParts))
+          << "degree " << degree << ", " << threads << " threads: "
+          << got.kinetic << " " << got.strainElastic << " "
+          << got.strainAcoustic << " vs " << want.kinetic << " "
+          << want.strainElastic << " " << want.strainAcoustic;
+    }
+  }
+}
+
+TEST(Vtk, WavefieldCellsMatchEvaluateAtCentroidBitwise) {
+  static const char* kNames[kNumQuantities] = {
+      "sxx", "syy", "szz", "sxy", "syz", "sxz", "vx", "vy", "vz"};
+  for (int degree : {2, 3}) {
+    const auto sim = seededCoupledBox(degree, 40u + degree);
+    const auto cells = wavefieldCellData(*sim);
+    ASSERT_EQ(cells.size(), static_cast<std::size_t>(kNumQuantities + 1));
+    int mismatches = 0;
+    for (int e = 0; e < sim->mesh().numElements(); ++e) {
+      const auto v = sim->evaluate(e, {0.25, 0.25, 0.25});
+      for (int q = 0; q < kNumQuantities; ++q) {
+        mismatches +=
+            std::memcmp(&cells.at(kNames[q])[e], &v[q], sizeof(real)) != 0;
+      }
+      const real pressure = -(v[kSxx] + v[kSyy] + v[kSzz]) / 3.0;
+      mismatches +=
+          std::memcmp(&cells.at("pressure")[e], &pressure, sizeof(real)) != 0;
+    }
+    EXPECT_EQ(mismatches, 0) << "degree " << degree;
+  }
 }
 
 TEST(Config, ParsesTypesAndTracksUnused) {
