@@ -30,7 +30,7 @@ namespace {
 struct Reproducer {
   const ReferenceMatrices& rm;
   int numElements;
-  std::vector<real> dofs, stack, tInt, starT, fluxT, scratch;
+  std::vector<real> dofs, stack, tInt, starT, negFluxT, scratch;
 
   explicit Reproducer(int degree, int elements)
       : rm(referenceMatrices(degree)), numElements(elements) {
@@ -54,9 +54,10 @@ struct Reproducer {
         }
       }
     }
-    fluxT.resize(8 * 81);
-    for (auto& v : fluxT) {
-      v = uni(rng) * 1e-4;
+    // surfaceKernel takes the pre-negated flux-solver matrix.
+    negFluxT.resize(8 * 81);
+    for (auto& v : negFluxT) {
+      v = -(uni(rng) * 1e-4);
     }
   }
 
@@ -77,12 +78,12 @@ struct Reproducer {
                  tInt.data() + static_cast<std::size_t>(e) * nbq, q,
                  scratch.data());
     for (int f = 0; f < 4; ++f) {
-      surfaceKernel(rm, rm.fluxLocal[f], fluxT.data() + f * 81,
+      surfaceKernel(rm, rm.fluxLocal[f], negFluxT.data() + f * 81,
                     tInt.data() + static_cast<std::size_t>(e) * nbq, q,
                     scratch.data());
       const int nb = (e + 1) % numElements;
       surfaceKernel(rm, rm.fluxNeighbor[f][(f + 1) % 4][0],
-                    fluxT.data() + (4 + f) * 81,
+                    negFluxT.data() + (4 + f) * 81,
                     tInt.data() + static_cast<std::size_t>(nb) * nbq, q,
                     scratch.data());
     }

@@ -5,10 +5,10 @@
 // The solver's static per-element / per-face arrays (star matrices, flux
 // matrices, face metadata) moved from per-Simulation vectors into the
 // shared immutable SimulationAssets (solver/simulation_assets.hpp).
-// SolverState keeps the same field *names* but as ConstSpan views, so the
-// kernel backends and the scheduler read identical expressions
-// (`s_.starT.data()`, `s_.faceKind[idx]`, range-for) against storage that
-// is now owned once and shared by every ensemble member.
+// SolverState exposes them under the assets' field names as ConstSpan
+// views, so the kernel backends and the scheduler read plain expressions
+// (`s_.starTB.data()`, `s_.faceKind[idx]`, range-for) against storage that
+// is owned once and shared by every ensemble member and batch size.
 
 #include <cstddef>
 

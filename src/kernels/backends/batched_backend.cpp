@@ -11,9 +11,9 @@ void BatchedBackend::prepare() {
   if (ba_) {
     return;
   }
-  // Fetched lazily at the first advance; the relayout itself is a pure
-  // function of the static asset data, built once per batch size inside
-  // SimulationAssets and shared across all runs on the same assets.
+  // Fetched lazily at the first advance.  The batching is cached per
+  // batch size inside SimulationAssets and shared across all runs on the
+  // same assets; its operands view the assets' single copy.
   ba_ = s_.assets->batchedAssets(s_.cfg->batchSize);
 }
 
@@ -134,8 +134,8 @@ void BatchedBackend::correctorBatch(const ElementBatch& batch,
       switch (info.kind) {
         case FaceKind::kRegular:
         case FaceKind::kBoundaryFolded: {
-          // Pre-negated flux-solver matrix: the reference's negate-the-
-          // product pass is folded into the operand (bitwise-identical).
+          // Pre-negated flux-solver matrix, the same operand the
+          // reference backend reads (SimulationAssets::negFluxMinusTB).
           negFluxPtrs[lane] =
               ba.negFluxMinusTB.data() +
               ((static_cast<std::size_t>(batch.begin) + lane) * 4 + f) *

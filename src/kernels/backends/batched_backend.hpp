@@ -6,11 +6,11 @@
 // pipeline is bitwise-identical to the reference backend (pinned by
 // tests/test_batched_kernels.cpp).
 //
-// The cluster-contiguous operand tensors (layout, batch-ordered faces,
-// negated star/flux matrices) are pure functions of the static asset
-// data, so they live in SimulationAssets::batchedAssets(batchSize) --
-// built once per batch size and const-shared; this backend only holds a
-// reference.
+// The operand tensors (star matrices and negated star/flux matrices) are
+// stored once in SimulationAssets, already in cluster order; the batching
+// for one batch size (layout, batch-ordered faces, scratch size) comes
+// from SimulationAssets::batchedAssets(batchSize), cached per batch size
+// and const-shared.  This backend only holds a reference.
 
 #include <cstdint>
 #include <memory>

@@ -1,5 +1,6 @@
 #include "kernels/backends/kernel_backend.hpp"
 
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -9,12 +10,16 @@
 namespace tsg {
 
 real* backendThreadScratch(int slot, std::size_t size) {
+  // One cache line of slack for the 64-byte alignment.
+  constexpr std::size_t kSlack = 64 / sizeof(real);
   static thread_local std::vector<real> bufs[2];
   std::vector<real>& buf = bufs[slot];
-  if (buf.size() < size) {
-    buf.resize(size);
+  if (buf.size() < size + kSlack) {
+    buf.resize(size + kSlack);
   }
-  return buf.data();
+  void* p = buf.data();
+  std::size_t space = buf.size() * sizeof(real);
+  return static_cast<real*>(std::align(64, size * sizeof(real), p, space));
 }
 
 void KernelBackend::stageRuptureFace(int face, real dt, real stepStartTime) {

@@ -79,6 +79,8 @@ class KernelBackend {
 /// 0 = per-element scratch, 1 = batched tile scratch (a batched corrector
 /// uses both at once).  Every kernel fully initialises the regions it
 /// reads, so content shared across Simulation instances cannot leak.
+/// The returned pointer is 64-byte aligned, so the tile GEMMs see the
+/// same alignment whatever the thread's earlier heap use was.
 real* backendThreadScratch(int slot, std::size_t size);
 
 /// Factory for the configured kernel path (throws std::invalid_argument

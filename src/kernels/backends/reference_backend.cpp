@@ -23,8 +23,9 @@ void ReferenceBackend::predictor(int elem) {
   const real dt = s_.clusters->dtMin * static_cast<real>(s_.clusters->spanOf(c));
   real* scratch = backendThreadScratch(0, s_.scratchSize);
   aderPredictor(*s_.rm,
-                s_.starT.data() + static_cast<std::size_t>(elem) * 3 *
-                    kNumQuantities * kNumQuantities,
+                s_.starTB.data() +
+                    static_cast<std::size_t>(s_.orderedIndexOf[elem]) * 3 *
+                        kNumQuantities * kNumQuantities,
                 s_.dofsOf(elem), s_.stackOf(elem), scratch);
   taylorIntegrate(*s_.rm, s_.stackOf(elem), 0.0, dt, s_.tIntOf(elem));
 }
@@ -42,20 +43,21 @@ void ReferenceBackend::corrector(int elem, std::int64_t tick) {
                  2 * static_cast<std::size_t>(s_.cfg->degree + 1) * rm.nq *
                      kNumQuantities;
 
-  real* q = s_.dofsOf(elem);
-  volumeKernel(rm,
-               s_.starT.data() + static_cast<std::size_t>(elem) * 3 *
-                   kNumQuantities * kNumQuantities,
-               s_.tIntOf(elem), q, scratch);
-
   const int stride = kNumQuantities * kNumQuantities;
+  const std::size_t oi = static_cast<std::size_t>(s_.orderedIndexOf[elem]);
+  real* q = s_.dofsOf(elem);
+  volumeKernel(rm, s_.starTB.data() + oi * 3 * stride, s_.tIntOf(elem), q,
+               scratch);
+
   for (int f = 0; f < 4; ++f) {
     const std::size_t idx = static_cast<std::size_t>(elem) * 4 + f;
+    // Pre-negated flux-solver matrix of this face (its ordered slot).
+    const real* negFluxMinusT =
+        s_.negFluxMinusTB.data() + (oi * 4 + f) * stride;
     const FaceInfo& info = s_.mesh->faces[elem][f];
     switch (s_.faceKind[idx]) {
       case FaceKind::kRegular: {
-        surfaceKernel(rm, rm.fluxLocal[f],
-                      s_.fluxMinusT.data() + idx * stride, s_.tIntOf(elem), q,
+        surfaceKernel(rm, rm.fluxLocal[f], negFluxMinusT, s_.tIntOf(elem), q,
                       scratch);
         const int nb = info.neighbor;
         const int nbCluster = clusters.cluster[nb];
@@ -75,12 +77,12 @@ void ReferenceBackend::corrector(int elem, std::int64_t tick) {
         }
         surfaceKernel(rm,
                       rm.fluxNeighbor[f][info.neighborFace][info.permutation],
-                      s_.fluxPlusT.data() + idx * stride, src, q, scratch);
+                      s_.negFluxPlusTB.data() + (oi * 4 + f) * stride, src,
+                      q, scratch);
         break;
       }
       case FaceKind::kBoundaryFolded:
-        surfaceKernel(rm, rm.fluxLocal[f],
-                      s_.fluxMinusT.data() + idx * stride, s_.tIntOf(elem), q,
+        surfaceKernel(rm, rm.fluxLocal[f], negFluxMinusT, s_.tIntOf(elem), q,
                       scratch);
         break;
       case FaceKind::kGravity:

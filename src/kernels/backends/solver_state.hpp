@@ -48,14 +48,18 @@ struct SolverState {
   // Per-element evolving state.
   std::vector<real> dofs, stack, tInt, buffer;
 
+  // Static kernel operands in cluster order (views into assets; see
+  // SimulationAssets): element e's slots start at orderedIndexOf[e].
+  ConstSpan<int> orderedIndexOf;     // [elem]
+  ConstSpan<real> starTB;            // [orderedElem][3][81], transposed
+  ConstSpan<real> negFluxMinusTB;    // [orderedElem*4 + f][81], negated
+  ConstSpan<real> negFluxPlusTB;     // [orderedElem*4 + f][81], negated
+
   // Static per-element data (views into SimulationAssets).
-  ConstSpan<real> starT;  // [elem][3][81], transposed star matrices
   ConstSpan<std::uint8_t> hasCoarserNeighbor;
 
   // Static per-face data, indexed [elem*4 + f] (views into assets).
   ConstSpan<FaceKind> faceKind;
-  ConstSpan<real> fluxMinusT;  // [81] each, pre-scaled
-  ConstSpan<real> fluxPlusT;   // [81] each, pre-scaled
   ConstSpan<int> faceAux;      // gravity/rupture index per face
   ConstSpan<real> faceScale;   // 2 A_f / |J|
   ConstSpan<int> seafloorIndexOfFace;  // seafloorFaces index or -1

@@ -86,15 +86,11 @@ void volumeKernel(const ReferenceMatrices& rm, const real* starT,
 }
 
 void surfaceKernel(const ReferenceMatrices& rm, const Matrix& faceMatrix,
-                   const real* fluxT, const real* tIntSrc, real* dofs,
+                   const real* negFluxT, const real* tIntSrc, real* dofs,
                    real* scratch) {
-  const int nbq = dofCount(rm);
-  std::memset(scratch, 0, sizeof(real) * nbq);
-  gemmAccRaw(rm.nb, kNumQuantities, kNumQuantities, tIntSrc, fluxT, scratch);
-  // dofs -= faceMatrix * scratch: negate scratch once, then accumulate.
-  for (int i = 0; i < nbq; ++i) {
-    scratch[i] = -scratch[i];
-  }
+  std::memset(scratch, 0, sizeof(real) * dofCount(rm));
+  gemmAccRaw(rm.nb, kNumQuantities, kNumQuantities, tIntSrc, negFluxT,
+             scratch);
   gemmAccRaw(rm.nb, kNumQuantities, rm.nb, faceMatrix.data(), scratch, dofs);
 }
 

@@ -43,11 +43,13 @@ void taylorEvaluate(const ReferenceMatrices& rm, const real* stack, real tau,
 void volumeKernel(const ReferenceMatrices& rm, const real* starT,
                   const real* tInt, real* dofs, real* scratch);
 
-/// dofs -= faceMatrix * (tIntSrc * fluxT)  where fluxT is a pre-scaled
-/// transposed 9x9 flux matrix (the face's area/volume ratio is folded in).
+/// dofs += faceMatrix * (tIntSrc * negFluxT), i.e. dofs -= faceMatrix *
+/// (tIntSrc * fluxT), where negFluxT is a pre-scaled, transposed and
+/// NEGATED 9x9 flux matrix (the face's area/volume ratio is folded in;
+/// the sign fold is exact, see SimulationAssets::negFluxMinusTB).
 /// `scratch` must hold nb*9 reals.
 void surfaceKernel(const ReferenceMatrices& rm, const Matrix& faceMatrix,
-                   const real* fluxT, const real* tIntSrc, real* dofs,
+                   const real* negFluxT, const real* tIntSrc, real* dofs,
                    real* scratch);
 
 /// dofs -= scale * testTW * fluxQP, where testTW is [nb x nq] (a weighted

@@ -136,21 +136,29 @@ void godunovStateOperators(const Material& matMinus, const Material& matPlus,
   }
 }
 
-FluxMatrices interfaceFluxMatrices(const Material& matMinus,
-                                   const Material& matPlus, const Vec3& n) {
+GodunovOperators godunovOperators(const Material& matMinus,
+                                  const Material& matPlus) {
+  GodunovOperators ops;
+  godunovStateOperators(matMinus, matPlus, ops.gMinus, ops.gPlus);
+  ops.aFace = jacobianMatrix(matMinus, 0);
+  return ops;
+}
+
+FluxMatrices faceFluxMatrices(const GodunovOperators& ops, const Vec3& n) {
   Vec3 s, t;
   faceBasis(n, s, t);
   const Matrix rot = rotationMatrix(n, s, t);
   const Matrix rotInv = rotationMatrixInverse(n, s, t);
 
-  Matrix gMinus, gPlus;
-  godunovStateOperators(matMinus, matPlus, gMinus, gPlus);
-  const Matrix aFace = jacobianMatrix(matMinus, 0);
-
   FluxMatrices out;
-  out.fMinus = rot * (aFace * (gMinus * rotInv));
-  out.fPlus = rot * (aFace * (gPlus * rotInv));
+  out.fMinus = rot * (ops.aFace * (ops.gMinus * rotInv));
+  out.fPlus = rot * (ops.aFace * (ops.gPlus * rotInv));
   return out;
+}
+
+FluxMatrices interfaceFluxMatrices(const Material& matMinus,
+                                   const Material& matPlus, const Vec3& n) {
+  return faceFluxMatrices(godunovOperators(matMinus, matPlus), n);
 }
 
 Matrix freeSurfaceMirror() {
@@ -169,34 +177,30 @@ Matrix rigidWallMirror() {
   return mirror;
 }
 
-Matrix boundaryFluxMatrix(const Material& mat, BoundaryType bc, const Vec3& n) {
-  Vec3 s, t;
-  faceBasis(n, s, t);
-  const Matrix rot = rotationMatrix(n, s, t);
-  const Matrix rotInv = rotationMatrixInverse(n, s, t);
-
-  Matrix gMinus, gPlus;
-  godunovStateOperators(mat, mat, gMinus, gPlus);
-  const Matrix aFace = jacobianMatrix(mat, 0);
-
+GodunovOperators boundaryOperators(const Material& mat, BoundaryType bc) {
+  GodunovOperators ops = godunovOperators(mat, mat);
   switch (bc) {
-    case BoundaryType::kFreeSurface: {
+    case BoundaryType::kFreeSurface:
       // Ghost state mirrors the traction; the Riemann middle state then has
       // exactly zero traction on the boundary.
-      const Matrix eff = gMinus + gPlus * freeSurfaceMirror();
-      return rot * (aFace * (eff * rotInv));
-    }
-    case BoundaryType::kRigidWall: {
-      const Matrix eff = gMinus + gPlus * rigidWallMirror();
-      return rot * (aFace * (eff * rotInv));
-    }
+      ops.gMinus = ops.gMinus + ops.gPlus * freeSurfaceMirror();
+      break;
+    case BoundaryType::kRigidWall:
+      ops.gMinus = ops.gMinus + ops.gPlus * rigidWallMirror();
+      break;
     case BoundaryType::kAbsorbing:
       // Ghost state q^+ = 0: only the outgoing characteristics contribute.
-      return rot * (aFace * (gMinus * rotInv));
+      break;
     default:
       throw std::invalid_argument(
-          "boundaryFluxMatrix: unsupported boundary type");
+          "boundaryOperators: unsupported boundary type");
   }
+  ops.gPlus = Matrix(kNumQuantities, kNumQuantities);
+  return ops;
+}
+
+Matrix boundaryFluxMatrix(const Material& mat, BoundaryType bc, const Vec3& n) {
+  return faceFluxMatrices(boundaryOperators(mat, bc), n).fMinus;
 }
 
 }  // namespace tsg

@@ -22,9 +22,32 @@ struct FluxMatrices {
   Matrix fPlus;   // applied to the plus-side trace
 };
 
+/// The face-frame part of a face's flux, which does not depend on the face
+/// normal: F^∓ = R(n) * (aFace * (g^∓ * R(n)^{-1})).  It depends only on
+/// the material pair (interior faces) or the material and boundary
+/// condition (boundary faces), so a mesh needs one per pair, not per face.
+struct GodunovOperators {
+  Matrix gMinus;  // middle state from the minus-side trace
+  Matrix gPlus;   // middle state from the plus-side trace
+  Matrix aFace;   // minus side's face-normal Jacobian
+};
+
 /// Face-frame middle-state operators: q^{b-} = gMinus q^-_face + gPlus q^+_face.
 void godunovStateOperators(const Material& matMinus, const Material& matPlus,
                            Matrix& gMinus, Matrix& gPlus);
+
+/// Face-frame operators of an interior face between the two materials.
+GodunovOperators godunovOperators(const Material& matMinus,
+                                  const Material& matPlus);
+
+/// Face-frame operators of a boundary face (free surface, absorbing or
+/// rigid wall): the ghost state is folded into gMinus and gPlus is zero.
+/// Throws std::invalid_argument for any other boundary type.
+GodunovOperators boundaryOperators(const Material& mat, BoundaryType bc);
+
+/// Global-frame flux matrices of a face with unit normal n pointing from
+/// the minus to the plus side.
+FluxMatrices faceFluxMatrices(const GodunovOperators& ops, const Vec3& n);
 
 /// Global-frame flux matrices for an interior face with unit normal n
 /// pointing from the minus to the plus side.

@@ -48,11 +48,12 @@ Simulation::Simulation(std::shared_ptr<const SimulationAssets> assets,
   state_.scratchSize = a.scratchSize;
 
   // Static data: read-only views into the shared assets.
-  state_.starT = ConstSpan<real>(a.starT);
+  state_.orderedIndexOf = ConstSpan<int>(a.orderedIndexOf);
+  state_.starTB = a.starTB;
+  state_.negFluxMinusTB = a.negFluxMinusTB;
+  state_.negFluxPlusTB = a.negFluxPlusTB;
   state_.hasCoarserNeighbor = ConstSpan<std::uint8_t>(a.hasCoarserNeighbor);
   state_.faceKind = ConstSpan<FaceKind>(a.faceKind);
-  state_.fluxMinusT = ConstSpan<real>(a.fluxMinusT);
-  state_.fluxPlusT = ConstSpan<real>(a.fluxPlusT);
   state_.faceAux = ConstSpan<int>(a.faceAux);
   state_.faceScale = ConstSpan<real>(a.faceScale);
   state_.seafloorIndexOfFace = ConstSpan<int>(a.seafloorIndexOfFace);

@@ -1,9 +1,12 @@
 #include "solver/simulation_assets.hpp"
 
-#include <cstring>
+#include <algorithm>
+#include <array>
+#include <map>
 #include <stdexcept>
 #include <type_traits>
 
+#include "common/omp_sync.hpp"
 #include "geometry/reference_tet.hpp"
 #include "kernels/element_kernels.hpp"
 #include "physics/jacobians.hpp"
@@ -92,61 +95,56 @@ SimulationAssets::SimulationAssets(Mesh meshIn,
       2 * static_cast<std::size_t>(cfg.degree + 1) * rm.nq * kNumQuantities +
       2 * static_cast<std::size_t>(rm.nq) * kNumQuantities;
 
-  // ---- per-element static data (star matrices, LTS neighbour flags) ----
-  starT.assign(
-      static_cast<std::size_t>(n) * 3 * kNumQuantities * kNumQuantities, 0.0);
-  hasCoarserNeighbor.assign(n, 0);
-  for (int e = 0; e < n; ++e) {
-    const auto g = gradXi(mesh, e);
-    for (int c = 0; c < 3; ++c) {
-      const Matrix star = starMatrix(elemMaterial[e], g[c]);
-      real* dst = starT.data() + (static_cast<std::size_t>(e) * 3 + c) *
-                                     kNumQuantities * kNumQuantities;
-      for (int i = 0; i < kNumQuantities; ++i) {
-        for (int j = 0; j < kNumQuantities; ++j) {
-          dst[i * kNumQuantities + j] = star(j, i);  // transposed
-        }
-      }
-    }
-    for (int f = 0; f < 4; ++f) {
-      const int nb = mesh.faces[e][f].neighbor;
-      if (nb >= 0 && clusters.cluster[nb] > clusters.cluster[e]) {
-        hasCoarserNeighbor[e] = 1;
-      }
-    }
+  // ---- cluster-contiguous element order: the concatenated cluster
+  // element lists, which every batch size partitions in place ---------
+  orderedElements.reserve(n);
+  for (const auto& elems : clusters.elementsOfCluster) {
+    orderedElements.insert(orderedElements.end(), elems.begin(), elems.end());
+  }
+  orderedIndexOf.assign(n, -1);
+  for (int i = 0; i < n; ++i) {
+    orderedIndexOf[orderedElements[i]] = i;
   }
 
-  // ---- per-face static data (flux matrices, face metadata, aux
-  // pre-assignment in canonical (e, f) order) ---------------------------
-  const int stride = kNumQuantities * kNumQuantities;
+  // ---- serial discovery pass over (e, f): LTS neighbour flags, face
+  // kinds and scales, aux pre-assignment in canonical (e, f) order, and
+  // the face-frame flux operators of every material pair in use --------
   faceKind.assign(static_cast<std::size_t>(n) * 4, FaceKind::kRegular);
-  fluxMinusT.assign(static_cast<std::size_t>(n) * 4 * stride, 0.0);
-  fluxPlusT.assign(static_cast<std::size_t>(n) * 4 * stride, 0.0);
   faceAux.assign(static_cast<std::size_t>(n) * 4, -1);
   faceScale.assign(static_cast<std::size_t>(n) * 4, 0.0);
   seafloorIndexOfFace.assign(static_cast<std::size_t>(n) * 4, -1);
+  hasCoarserNeighbor.assign(n, 0);
 
   const bool gravityOn = cfg.gravity > 0;
-
-  auto storeT = [stride](const Matrix& m, real scale, real* dst) {
-    for (int i = 0; i < kNumQuantities; ++i) {
-      for (int j = 0; j < kNumQuantities; ++j) {
-        dst[i * kNumQuantities + j] = scale * m(j, i);
-      }
+  // Flux operators keyed by (minus material id, plus material id or -1,
+  // folded boundary type or -1); faceOps holds each face's entry.
+  std::map<std::array<int, 3>, int> opsIndex;
+  std::vector<GodunovOperators> ops;
+  std::vector<int> faceOps(static_cast<std::size_t>(n) * 4, -1);
+  const auto opsOf = [&](const std::array<int, 3>& key) {
+    const auto [it, inserted] =
+        opsIndex.emplace(key, static_cast<int>(ops.size()));
+    if (inserted) {
+      const Material& m = materialTable[key[0]];
+      ops.push_back(
+          key[1] >= 0 ? godunovOperators(m, materialTable[key[1]])
+                      : boundaryOperators(m, static_cast<BoundaryType>(key[2])));
     }
-    (void)stride;
+    return it->second;
   };
 
   for (int e = 0; e < n; ++e) {
     const real volJ = 6.0 * mesh.volume(e);
+    const int mat = mesh.elements[e].material;
     for (int f = 0; f < 4; ++f) {
       const std::size_t idx = static_cast<std::size_t>(e) * 4 + f;
       const FaceInfo& info = mesh.faces[e][f];
-      const Vec3 normal = mesh.faceNormal(e, f);
-      const real scale = 2.0 * mesh.faceArea(e, f) / volJ;
-      faceScale[idx] = scale;
+      faceScale[idx] = 2.0 * mesh.faceArea(e, f) / volJ;
 
       if (info.neighbor >= 0) {
+        if (clusters.cluster[info.neighbor] > clusters.cluster[e]) {
+          hasCoarserNeighbor[e] = 1;
+        }
         if (info.bc == BoundaryType::kDynamicRupture) {
           faceKind[idx] = (e < info.neighbor) ? FaceKind::kRuptureMinus
                                               : FaceKind::kRupturePlus;
@@ -161,11 +159,8 @@ SimulationAssets::SimulationAssets(Mesh meshIn,
           }
           continue;
         }
-        const auto fm = interfaceFluxMatrices(
-            elemMaterial[e], elemMaterial[info.neighbor], normal);
         faceKind[idx] = FaceKind::kRegular;
-        storeT(fm.fMinus, scale, fluxMinusT.data() + idx * stride);
-        storeT(fm.fPlus, scale, fluxPlusT.data() + idx * stride);
+        faceOps[idx] = opsOf({mat, mesh.elements[info.neighbor].material, -1});
         continue;
       }
 
@@ -184,10 +179,86 @@ SimulationAssets::SimulationAssets(Mesh meshIn,
               ? BoundaryType::kFreeSurface
               : info.bc;
       faceKind[idx] = FaceKind::kBoundaryFolded;
-      const Matrix eff = boundaryFluxMatrix(elemMaterial[e], folded, normal);
-      storeT(eff, scale, fluxMinusT.data() + idx * stride);
+      faceOps[idx] = opsOf({mat, -1, static_cast<int>(folded)});
     }
   }
+
+  // ---- static kernel operands, filled once in cluster order: the
+  // transposed star matrices (and their negation, the predictor operand)
+  // and the pre-scaled, transposed, negated flux-solver matrices --------
+  // The corrector only ever uses the flux-solver matrices negated (the
+  // surface kernels subtract their product); storing them pre-negated
+  // folds that sign into the GEMM operand.  Each product term flips sign
+  // exactly, so results stay bitwise-identical.
+  constexpr int stride = kNumQuantities * kNumQuantities;
+  const std::size_t starSize = static_cast<std::size_t>(n) * 3 * stride;
+  const std::size_t fluxSize = static_cast<std::size_t>(n) * 4 * stride;
+  operandStorage_ =
+      std::make_unique_for_overwrite<real[]>(2 * starSize + 2 * fluxSize);
+  real* const starOut = operandStorage_.get();
+  real* const negStarOut = starOut + starSize;
+  real* const negFluxMinusOut = negStarOut + starSize;
+  real* const negFluxPlusOut = negFluxMinusOut + fluxSize;
+  starTB = ConstSpan<real>(starOut, starSize);
+  negStarTB = ConstSpan<real>(negStarOut, starSize);
+  negFluxMinusTB = ConstSpan<real>(negFluxMinusOut, fluxSize);
+  negFluxPlusTB = ConstSpan<real>(negFluxPlusOut, fluxSize);
+
+  // dst[i][j] = -(scale * m(j, i)): transposed, pre-scaled, negated.
+  const auto storeNegT = [](const Matrix& m, real scale, real* dst) {
+    for (int i = 0; i < kNumQuantities; ++i) {
+      for (int j = 0; j < kNumQuantities; ++j) {
+        dst[i * kNumQuantities + j] = -(scale * m(j, i));
+      }
+    }
+  };
+
+  // Every iteration writes all of its own ordered slots (zeros included)
+  // and reads only the immutable discovery results, so the fill is
+  // thread-count independent.
+  tsanRelease();
+#pragma omp parallel
+  {
+    tsanAcquire();
+#pragma omp for schedule(static)
+    for (int i = 0; i < n; ++i) {
+      const int e = orderedElements[i];
+      const std::size_t oi = static_cast<std::size_t>(i);
+      const auto g = gradXi(mesh, e);
+      for (int c = 0; c < 3; ++c) {
+        const Matrix star = starMatrix(elemMaterial[e], g[c]);
+        real* dst = starOut + (oi * 3 + c) * stride;
+        real* neg = negStarOut + (oi * 3 + c) * stride;
+        for (int r = 0; r < kNumQuantities; ++r) {
+          for (int j = 0; j < kNumQuantities; ++j) {
+            dst[r * kNumQuantities + j] = star(j, r);
+            neg[r * kNumQuantities + j] = -star(j, r);
+          }
+        }
+      }
+      for (int f = 0; f < 4; ++f) {
+        const std::size_t idx = static_cast<std::size_t>(e) * 4 + f;
+        real* negMinus = negFluxMinusOut + (oi * 4 + f) * stride;
+        real* negPlus = negFluxPlusOut + (oi * 4 + f) * stride;
+        if (faceOps[idx] < 0) {
+          // Gravity / rupture faces use pointwise fluxes.
+          std::fill_n(negMinus, stride, 0.0);
+          std::fill_n(negPlus, stride, 0.0);
+          continue;
+        }
+        const FluxMatrices fm =
+            faceFluxMatrices(ops[faceOps[idx]], mesh.faceNormal(e, f));
+        storeNegT(fm.fMinus, faceScale[idx], negMinus);
+        if (faceKind[idx] == FaceKind::kRegular) {
+          storeNegT(fm.fPlus, faceScale[idx], negPlus);
+        } else {
+          std::fill_n(negPlus, stride, 0.0);
+        }
+      }
+    }
+    tsanRelease();
+  }
+  tsanAcquire();
 
   // Seafloor recorder geometry: elastic side of every elastic-acoustic
   // face, in the same (e, f) discovery order as the uplift accumulators.
@@ -246,37 +317,26 @@ std::shared_ptr<const BatchedAssets> SimulationAssets::batchedAssets(
   }
 
   // Build outside the lock (idempotent: a racing build produces identical
-  // content and the first insert wins).
+  // content and the first insert wins).  The operands are views of the
+  // single asset copy; only the batching and face metadata are built here.
   auto ba = std::make_shared<BatchedAssets>();
   ba->layout = ClusterBatchLayout(clusters, rm.nb, cfg.degree, key);
-  const std::size_t nOrdered = ba->layout.elements().size();
-  const int stride = kNumQuantities * kNumQuantities;
-  ba->starTB.assign(nOrdered * 3 * stride, 0.0);
-  ba->negStarTB.assign(nOrdered * 3 * stride, 0.0);
-  ba->negFluxMinusTB.assign(nOrdered * 4 * stride, 0.0);
-  ba->negFluxPlusTB.assign(nOrdered * 4 * stride, 0.0);
+  if (ba->layout.elements() != orderedElements) {
+    throw std::logic_error(
+        "SimulationAssets: batch layout disagrees with the operand order");
+  }
+  ba->starTB = starTB;
+  ba->negStarTB = negStarTB;
+  ba->negFluxMinusTB = negFluxMinusTB;
+  ba->negFluxPlusTB = negFluxPlusTB;
+  const std::size_t nOrdered = orderedElements.size();
   ba->batchFaces.assign(nOrdered * 4, {});
   ba->stackNeeded.assign(mesh.numElements(), 0);
   for (std::size_t i = 0; i < nOrdered; ++i) {
-    const int e = ba->layout.elements()[i];
-    std::memcpy(ba->starTB.data() + i * 3 * stride,
-                starT.data() + static_cast<std::size_t>(e) * 3 * stride,
-                sizeof(real) * 3 * stride);
-    for (int j = 0; j < 3 * stride; ++j) {
-      ba->negStarTB[i * 3 * stride + j] = -ba->starTB[i * 3 * stride + j];
-    }
+    const int e = orderedElements[i];
     for (int f = 0; f < 4; ++f) {
       const std::size_t src = static_cast<std::size_t>(e) * 4 + f;
-      const std::size_t dst = i * 4 + f;
-      // The corrector only ever uses the flux-solver matrices negated
-      // (reference: multiply, then negate the product); storing them
-      // pre-negated folds that pass into the GEMM operand -- each product
-      // term flips sign exactly, so results stay bitwise-identical.
-      for (int j = 0; j < stride; ++j) {
-        ba->negFluxMinusTB[dst * stride + j] = -fluxMinusT[src * stride + j];
-        ba->negFluxPlusTB[dst * stride + j] = -fluxPlusT[src * stride + j];
-      }
-      BatchFaceInfo& info = ba->batchFaces[dst];
+      BatchFaceInfo& info = ba->batchFaces[i * 4 + f];
       const FaceInfo& mi = mesh.faces[e][f];
       info.kind = faceKind[src];
       info.neighbor = mi.neighbor;

@@ -8,14 +8,18 @@
 //
 //  * geometry: the mesh, per-element materials, the point-location index;
 //  * discretisation: basis reference matrices, the LTS ClusterLayout;
-//  * static kernel operands: transposed star matrices, precomputed
-//    per-face Godunov flux matrices, face metadata (kind / aux index /
-//    scale / seafloor recorder index);
+//  * static kernel operands, stored once in the cluster-contiguous
+//    element order and in the form the kernels read: transposed star
+//    matrices (and their negation) and pre-scaled, negated per-face
+//    Godunov flux matrices; both backends index them through
+//    orderedIndexOf, and every batch size views the same storage;
+//  * face metadata (kind / aux index / scale / seafloor recorder index),
+//    indexed by mesh element;
 //  * boundary-face topology: gravity-surface faces, dynamic-rupture face
 //    pairs (with their aux indices pre-assigned in the canonical order),
 //    per-cluster fault-face id lists, seafloor recorder geometry;
-//  * the cluster-contiguous batched operand tensors (lazily built per
-//    batch size and cached, shared by every batched backend instance).
+//  * the per-batch-size batching (layout, batch-ordered face metadata,
+//    scratch size), built on first request and cached.
 //
 // Everything per-run -- DOFs, eta, friction state, uplift accumulators,
 // receivers, the clock -- stays in Simulation/SolverState.  The ensemble
@@ -28,6 +32,8 @@
 // construction over the recorded face lists in that same order.  Replayed
 // indices therefore coincide with the precomputed faceAux values, and a
 // run built from shared assets is bitwise identical to a standalone one.
+// Face kinds and aux indices come from a serial discovery pass; only the
+// operand fill, where every element writes its own slots, is threaded.
 
 #include <cstdint>
 #include <map>
@@ -35,6 +41,7 @@
 #include <mutex>
 #include <vector>
 
+#include "common/span.hpp"
 #include "geometry/mesh.hpp"
 #include "geometry/spatial_index.hpp"
 #include "kernels/batch_layout.hpp"
@@ -106,15 +113,16 @@ struct BatchFaceInfo {
   real scale = 0;
 };
 
-/// The cluster-contiguous operand tensors of the batched backend,
-/// a pure relayout of the asset arrays for one batch size.
+/// The batching of the batched backend for one batch size.  The operand
+/// members are views of the owning SimulationAssets' single copy (same
+/// names, same layout), valid for as long as those assets live.
 struct BatchedAssets {
   ClusterBatchLayout layout;
   std::vector<BatchFaceInfo> batchFaces;  // [orderedElem*4 + f]
-  std::vector<real> starTB;               // [orderedElem][3][81]
-  std::vector<real> negStarTB;            // -starTB (predictor operand)
-  std::vector<real> negFluxMinusTB;       // [orderedElem*4+f][81], negated
-  std::vector<real> negFluxPlusTB;        // [orderedElem*4+f][81], negated
+  ConstSpan<real> starTB;                 // SimulationAssets::starTB
+  ConstSpan<real> negStarTB;              // SimulationAssets::negStarTB
+  ConstSpan<real> negFluxMinusTB;         // SimulationAssets::negFluxMinusTB
+  ConstSpan<real> negFluxPlusTB;          // SimulationAssets::negFluxPlusTB
   // Mesh elements whose derivative stack is read outside their own
   // predictor (gravity/rupture faces, coarser LTS neighbours).
   std::vector<std::uint8_t> stackNeeded;  // [mesh elem]
@@ -150,14 +158,24 @@ class SimulationAssets {
   int nbq = 0;                  // nb * 9, reals per modal block
   std::size_t scratchSize = 0;  // per-element kernel scratch [reals]
 
-  // Static per-element data.
-  std::vector<real> starT;  // [elem][3][81], transposed star matrices
-  std::vector<std::uint8_t> hasCoarserNeighbor;
+  // Cluster-contiguous element order (the concatenated cluster element
+  // lists, which every ClusterBatchLayout keeps) and its inverse.
+  std::vector<int> orderedElements;  // [orderedElem] -> mesh elem
+  std::vector<int> orderedIndexOf;   // [mesh elem] -> orderedElem
 
-  // Static per-face data, indexed [elem*4 + f].
+  // Static kernel operands, in cluster order (views of operandStorage_).
+  // Flux matrices are pre-scaled by faceScale and negated; they are zero
+  // on faces without a flux-solver matrix (gravity, rupture; fluxPlus on
+  // boundary faces).
+  ConstSpan<real> starTB;          // [orderedElem][3][81], transposed
+  ConstSpan<real> negStarTB;       // -starTB (predictor operand)
+  ConstSpan<real> negFluxMinusTB;  // [orderedElem*4 + f][81]
+  ConstSpan<real> negFluxPlusTB;   // [orderedElem*4 + f][81]
+
+  std::vector<std::uint8_t> hasCoarserNeighbor;  // [elem]
+
+  // Static per-face metadata, indexed [elem*4 + f].
   std::vector<FaceKind> faceKind;
-  std::vector<real> fluxMinusT;  // [81] each, pre-scaled
-  std::vector<real> fluxPlusT;   // [81] each, pre-scaled
   std::vector<int> faceAux;      // gravity/rupture index (pre-assigned)
   std::vector<real> faceScale;   // 2 A_f / |J|
   std::vector<int> seafloorIndexOfFace;  // seafloorGeometry index or -1
@@ -176,12 +194,19 @@ class SimulationAssets {
 
   std::uint64_t assetHash = 0;
 
-  /// The batched operand tensors for one batch size (<= 0 selects the
-  /// auto size), built on first request and cached; thread-safe, so
-  /// concurrent ensemble members share one relayout per batch size.
+  /// The batching for one batch size (<= 0 selects the auto size): its
+  /// layout, batch-ordered face metadata and scratch size, plus views of
+  /// the one operand copy above (no operand is copied per batch size).
+  /// Built on first request and cached; thread-safe, so concurrent
+  /// ensemble members share one per batch size.
   std::shared_ptr<const BatchedAssets> batchedAssets(int batchSize) const;
 
  private:
+  // The four operand arrays back to back, allocated uninitialised: the
+  // threaded fill writes every slot exactly once, so the pages are first
+  // touched in parallel instead of by a serial zero-fill pass.
+  std::unique_ptr<real[]> operandStorage_;
+
   mutable std::mutex batchedMutex_;
   mutable std::map<int, std::shared_ptr<const BatchedAssets>> batchedCache_;
 };

@@ -4,7 +4,9 @@
 //    deterministic mode (gravity + dynamic rupture + LTS all active),
 //  * full DOF agreement to 1e-12 in the default (non-deterministic) mode,
 //  * the relayout gather/scatter round-trips modal data exactly,
-//  * the batch layout is a permutation partition of the element set.
+//  * the batch layout is a permutation partition of the element set,
+//  * every batch size views the asset's one operand copy, and a
+//    non-default batch size still matches the reference path bitwise.
 
 #include <omp.h>
 
@@ -23,6 +25,7 @@
 #include "scenario/megathrust.hpp"
 #include "scenario/plane_wave.hpp"
 #include "solver/simulation.hpp"
+#include "solver/simulation_assets.hpp"
 
 namespace tsg {
 namespace {
@@ -32,18 +35,23 @@ struct ThreadCountGuard {
   ~ThreadCountGuard() { omp_set_num_threads(saved); }
 };
 
-std::unique_ptr<Simulation> megathrustMini(KernelPath path, bool deterministic,
-                                           int threads) {
-  omp_set_num_threads(threads);
+MegathrustScenario megathrustMiniScenario() {
   MegathrustParams p;
   p.h = 3000.0;
   p.faultAlongStrike = 12000.0;
   p.faultDownDip = 9000.0;
   p.domainPadding = 12000.0;
-  const MegathrustScenario s = buildMegathrustScenario(p);
+  return buildMegathrustScenario(p);
+}
+
+std::unique_ptr<Simulation> megathrustMini(KernelPath path, bool deterministic,
+                                           int threads, int batchSize = 0) {
+  omp_set_num_threads(threads);
+  const MegathrustScenario s = megathrustMiniScenario();
   SolverConfig sc = megathrustSolverConfig(2);
   sc.deterministic = deterministic;
   sc.kernelPath = path;
+  sc.batchSize = batchSize;
   auto sim = std::make_unique<Simulation>(s.mesh, s.materials, sc);
   sim->setInitialCondition([](const Vec3&, int) {
     return std::array<real, 9>{};
@@ -102,6 +110,55 @@ TEST(BatchedKernels, MegathrustReceiversBitwiseMatchReference) {
   ASSERT_EQ(ref->dofsData().size(), bat->dofsData().size());
   EXPECT_EQ(0, std::memcmp(ref->dofsData().data(), bat->dofsData().data(),
                            ref->dofsData().size() * sizeof(real)));
+}
+
+// The operands exist once per asset: every batch size views that copy
+// (no per-batch-size relayout), in the order every batch layout keeps.
+TEST(BatchedKernels, BatchSizesViewTheOneAssetOperandCopy) {
+  const MegathrustScenario s = megathrustMiniScenario();
+  const SimulationAssets assets(
+      s.mesh, s.materials,
+      AssetConfig::fromSolverConfig(megathrustSolverConfig(2)));
+  const auto b8 = assets.batchedAssets(8);
+  const auto b16 = assets.batchedAssets(16);
+  ASSERT_NE(b8, b16);
+  EXPECT_EQ(b8->layout.batchSize(), 8);
+  EXPECT_EQ(b16->layout.batchSize(), 16);
+  for (const BatchedAssets* ba : {b8.get(), b16.get()}) {
+    EXPECT_EQ(ba->starTB.data(), assets.starTB.data());
+    EXPECT_EQ(ba->negStarTB.data(), assets.negStarTB.data());
+    EXPECT_EQ(ba->negFluxMinusTB.data(), assets.negFluxMinusTB.data());
+    EXPECT_EQ(ba->negFluxPlusTB.data(), assets.negFluxPlusTB.data());
+    EXPECT_EQ(ba->starTB.size(), assets.starTB.size());
+    EXPECT_EQ(ba->negFluxPlusTB.size(), assets.negFluxPlusTB.size());
+    EXPECT_EQ(ba->layout.elements(), assets.orderedElements);
+  }
+  const int n = assets.mesh.numElements();
+  ASSERT_EQ(static_cast<int>(assets.orderedIndexOf.size()), n);
+  for (int i = 0; i < n; ++i) {
+    EXPECT_EQ(assets.orderedIndexOf[assets.orderedElements[i]], i);
+  }
+  // A repeated request returns the cached batching.
+  EXPECT_EQ(assets.batchedAssets(8), b8);
+}
+
+// Both backends read the same ordered operands; at a batch size other than
+// the auto one (partial batches in every cluster) the batched path still
+// reproduces the reference path's modal state bitwise.
+TEST(BatchedKernels, NonDefaultBatchSizeBitwiseMatchesReference) {
+  ThreadCountGuard guard;
+  const auto ref = megathrustMini(KernelPath::kReference, true, 4);
+  const auto bat = megathrustMini(KernelPath::kBatched, true, 4, 12);
+  EXPECT_EQ(bat->batchLayout().batchSize(), 12);
+  ASSERT_EQ(ref->dofsData().size(), bat->dofsData().size());
+  EXPECT_EQ(0, std::memcmp(ref->dofsData().data(), bat->dofsData().data(),
+                           ref->dofsData().size() * sizeof(real)));
+  const auto sr = ref->seafloor();
+  const auto sb = bat->seafloor();
+  ASSERT_EQ(sr.size(), sb.size());
+  for (std::size_t i = 0; i < sr.size(); ++i) {
+    EXPECT_EQ(sr[i].uplift, sb[i].uplift);
+  }
 }
 
 // In the default non-deterministic mode the loop schedules differ but

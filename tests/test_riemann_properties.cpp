@@ -1,9 +1,15 @@
 // Property-based sweeps of the Godunov interface solver over random
 // normals and material contrasts (TEST_P): the invariants of Sec. 4.2
 // must hold for *every* face orientation, not just axis-aligned ones.
+// Also pins the per-material-pair split of the flux matrices (computed
+// once per pair, rotated per face) byte for byte against the per-face
+// solver.
 
 #include <cmath>
+#include <cstring>
 #include <random>
+#include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -162,6 +168,89 @@ TEST_P(RiemannSweep, BoundaryFluxMatricesAreFinite) {
       }
     }
   }
+}
+
+bool sameBytes(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(real)) == 0;
+}
+
+/// Axis-aligned normals of both signs plus random unit normals.
+std::vector<Vec3> normalSpread() {
+  std::vector<Vec3> normals = {{1, 0, 0},  {0, 1, 0},  {0, 0, 1},
+                               {-1, 0, 0}, {0, -1, 0}, {0, 0, -1}};
+  std::mt19937 rng(2018);
+  for (int i = 0; i < 10; ++i) {
+    normals.push_back(randomUnit(rng));
+  }
+  return normals;
+}
+
+TEST(RiemannPerPair, FaceFluxOfPairOperatorsMatchesInterfaceFluxBytewise) {
+  const Material crust = Material::fromVelocities(2700, 6000, 3464);
+  const Material sediment = Material::fromVelocities(2200, 3500, 1800);
+  const Material water = Material::acoustic(1000, 1500);
+  const Material brine = Material::acoustic(1030, 1520);
+  const struct {
+    const char* name;
+    Material minus, plus;
+  } pairs[] = {{"elastic-elastic", crust, sediment},
+               {"elastic-acoustic", crust, water},
+               {"acoustic-elastic", water, crust},
+               {"acoustic-acoustic", water, brine}};
+  for (const auto& pair : pairs) {
+    const GodunovOperators ops = godunovOperators(pair.minus, pair.plus);
+    for (const Vec3& n : normalSpread()) {
+      const FluxMatrices fm = faceFluxMatrices(ops, n);
+      const FluxMatrices ref = interfaceFluxMatrices(pair.minus, pair.plus, n);
+      EXPECT_TRUE(sameBytes(fm.fMinus, ref.fMinus)) << pair.name;
+      EXPECT_TRUE(sameBytes(fm.fPlus, ref.fPlus)) << pair.name;
+
+      // The per-face solver's own composition, restated from its parts:
+      // same operators, same product order rot * (aFace * (g * rotInv)).
+      Vec3 s, t;
+      faceBasis(n, s, t);
+      const Matrix rot = rotationMatrix(n, s, t);
+      const Matrix rotInv = rotationMatrixInverse(n, s, t);
+      Matrix gm, gp;
+      godunovStateOperators(pair.minus, pair.plus, gm, gp);
+      const Matrix aFace = jacobianMatrix(pair.minus, 0);
+      EXPECT_TRUE(sameBytes(fm.fMinus, rot * (aFace * (gm * rotInv))))
+          << pair.name;
+      EXPECT_TRUE(sameBytes(fm.fPlus, rot * (aFace * (gp * rotInv))))
+          << pair.name;
+    }
+  }
+}
+
+TEST(RiemannPerPair, BoundaryOperatorsFoldTheGhostStateBytewise) {
+  const Material crust = Material::fromVelocities(2700, 6000, 3464);
+  const Material water = Material::acoustic(1000, 1500);
+  for (const Material& m : {crust, water}) {
+    Matrix gm, gp;
+    godunovStateOperators(m, m, gm, gp);
+    const Matrix aFace = jacobianMatrix(m, 0);
+    const struct {
+      BoundaryType bc;
+      Matrix eff;
+    } cases[] = {{BoundaryType::kFreeSurface, gm + gp * freeSurfaceMirror()},
+                 {BoundaryType::kRigidWall, gm + gp * rigidWallMirror()},
+                 {BoundaryType::kAbsorbing, gm}};
+    for (const auto& c : cases) {
+      const GodunovOperators ops = boundaryOperators(m, c.bc);
+      for (const Vec3& n : normalSpread()) {
+        Vec3 s, t;
+        faceBasis(n, s, t);
+        const Matrix expected =
+            rotationMatrix(n, s, t) *
+            (aFace * (c.eff * rotationMatrixInverse(n, s, t)));
+        EXPECT_TRUE(sameBytes(faceFluxMatrices(ops, n).fMinus, expected));
+        EXPECT_TRUE(sameBytes(boundaryFluxMatrix(m, c.bc, n), expected));
+      }
+    }
+  }
+  EXPECT_THROW(boundaryOperators(crust, BoundaryType::kDynamicRupture),
+               std::invalid_argument);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RiemannSweep,

@@ -9,15 +9,19 @@
 //    (sacrificed core when there is room, wrap-around when oversubscribed),
 //  * the perf report records the worker thread count,
 //  * the dynamic-chunk heuristic ltsChunkSize clamps and scales as
-//    documented (solver/cluster_scheduler).
+//    documented (solver/cluster_scheduler),
+//  * the threaded SimulationAssets operand fill is bitwise independent
+//    of the thread count.
 
 #include <omp.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -26,6 +30,7 @@
 #include "perf/perf_monitor.hpp"
 #include "perfmodel/pinning.hpp"
 #include "scenario/megathrust.hpp"
+#include "scenario/registry.hpp"
 #include "solver/cluster_scheduler.hpp"
 #include "solver/simulation.hpp"
 #include "solver/thread_plan.hpp"
@@ -203,6 +208,50 @@ TEST(Threading, FaultFaceClusterListsMatchBruteForceScan) {
     EXPECT_EQ(ids, brute) << "cluster " << c;
   }
   EXPECT_EQ(static_cast<int>(seen.size()), fault->numFaces());
+}
+
+/// FNV-1a 64 over the raw bytes of a contiguous array.
+template <class Container>
+std::uint64_t digestOf(const Container& c) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto* b = reinterpret_cast<const unsigned char*>(c.data());
+  for (std::size_t i = 0; i < c.size() * sizeof(*c.data()); ++i) {
+    h ^= b[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// The operand fill of SimulationAssets is one threaded loop in which each
+// element writes only its own slots; face kinds and aux indices come from
+// a serial pass.  Every static array must therefore be bitwise the same at
+// 1 and 4 threads (and under TSan this runs the parallel region).
+TEST(Threading, AssetOperandsBitwiseAcrossThreadCounts) {
+  const int saved = omp_get_max_threads();
+  const ScenarioBundle bundle =
+      loadPresetScenario(std::string(TSG_PRESET_DIR) + "/megathrust.cfg", 2);
+  const AssetConfig cfg = AssetConfig::fromSolverConfig(bundle.solver);
+  std::vector<std::vector<std::uint64_t>> digests;
+  for (const int threads : {1, 4}) {
+    omp_set_num_threads(threads);
+    const SimulationAssets a(bundle.mesh, bundle.materials, cfg);
+    digests.push_back({digestOf(a.starTB), digestOf(a.negStarTB),
+                       digestOf(a.negFluxMinusTB), digestOf(a.negFluxPlusTB),
+                       digestOf(a.faceKind), digestOf(a.faceAux),
+                       digestOf(a.faceScale), digestOf(a.gravityFaces),
+                       digestOf(a.ruptureFaces), a.assetHash});
+    EXPECT_FALSE(a.gravityFaces.empty());
+    EXPECT_FALSE(a.ruptureFaces.empty());
+  }
+  omp_set_num_threads(saved);
+  const char* names[] = {"starTB",       "negStarTB",   "negFluxMinusTB",
+                         "negFluxPlusTB", "faceKind",    "faceAux",
+                         "faceScale",     "gravityFaces", "ruptureFaces",
+                         "assetHash"};
+  ASSERT_EQ(digests[0].size(), std::size(names));
+  for (std::size_t i = 0; i < digests[0].size(); ++i) {
+    EXPECT_EQ(digests[0][i], digests[1][i]) << names[i];
+  }
 }
 
 TEST(Threading, PerfThreadRecorderMergesLikeTheSerialBracket) {
