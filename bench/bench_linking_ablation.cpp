@@ -20,10 +20,11 @@
 #include <cstdio>
 #include <vector>
 
+#include "common/config.hpp"
 #include "common/table.hpp"
 #include "linking/kajiura.hpp"
 #include "linking/one_way_linking.hpp"
-#include "scenario/megathrust.hpp"
+#include "scenario/spec.hpp"
 #include "solver/simulation.hpp"
 #include "swe/swe_solver.hpp"
 
@@ -79,34 +80,33 @@ real correlation(const CrossSection& a, const CrossSection& b) {
 
 int main() {
   std::setvbuf(stdout, nullptr, _IONBF, 0);
-  // Earthquake-only (dry) megathrust run recording the seafloor motion.
-  MegathrustParams params;
-  params.h = 3000.0;
-  params.faultAlongStrike = 12000.0;
-  params.faultDownDip = 9000.0;
-  params.domainPadding = 12000.0;
-  params.withWater = false;
-  const MegathrustScenario dry = buildMegathrustScenario(params);
-  SolverConfig cfg = megathrustSolverConfig(2);
-  cfg.gravity = 0;
-  Simulation eq(dry.mesh, dry.materials, cfg);
-  eq.setInitialCondition([](const Vec3&, int) {
-    return std::array<real, 9>{};
-  });
-  eq.setupFault(dry.faultInit);
+  // Earthquake-only (dry) megathrust run recording the seafloor motion:
+  // the shipped megathrust.cfg preset without its water column, with a
+  // traction-free seafloor and no gravity.
+  ScenarioSpec spec =
+      loadScenarioSpec(ConfigFile::load(TSG_PRESET_DIR "/megathrust.cfg"));
+  spec.mesh.z.pop_back();
+  spec.boundary.top = BoundaryType::kFreeSurface;
+  spec.gravity = 0;
+  spec.receivers.clear();
+  const real xMin = spec.mesh.x.front().lo, xMax = spec.mesh.x.back().hi;
+  const real yMin = spec.mesh.y.front().lo, yMax = spec.mesh.y.back().hi;
+  const real waterDepth = spec.bathymetry.baseDepth;
+  const auto eqPtr = makeSimulation(buildScenario(spec, 2));
+  Simulation& eq = *eqPtr;
 
   const int gridN = 64;
-  SeafloorUpliftRecorder recorder(gridN, gridN, dry.xMin, dry.yMin,
-                                  (dry.xMax - dry.xMin) / gridN,
-                                  (dry.yMax - dry.yMin) / gridN);
+  SeafloorUpliftRecorder recorder(gridN, gridN, xMin, yMin,
+                                  (xMax - xMin) / gridN,
+                                  (yMax - yMin) / gridN);
   std::vector<Vec3> probes;
   std::vector<int> elems;
   std::vector<real> uplift(gridN * gridN, 0.0);
   for (int j = 0; j < gridN; ++j) {
     for (int i = 0; i < gridN; ++i) {
-      probes.push_back({dry.xMin + (i + 0.5) * (dry.xMax - dry.xMin) / gridN,
-                        dry.yMin + (j + 0.5) * (dry.yMax - dry.yMin) / gridN,
-                        -params.waterDepth - 300.0});
+      probes.push_back({xMin + (i + 0.5) * (xMax - xMin) / gridN,
+                        yMin + (j + 0.5) * (yMax - yMin) / gridN,
+                        -waterDepth - 300.0});
     }
   }
   for (auto& p : probes) {
@@ -134,19 +134,16 @@ int main() {
 
   // Three sourcing modes, all evolved to the same observation time.
   const real tObs = 60.0;
-  SweSolver timeDependent =
-      makeOcean(dry.xMin, dry.xMax, dry.yMin, dry.yMax, params.waterDepth);
+  SweSolver timeDependent = makeOcean(xMin, xMax, yMin, yMax, waterDepth);
   timeDependent.setBedMotion(recorder.bedMotion());
   timeDependent.advanceTo(tObs);
 
-  SweSolver instantKajiura =
-      makeOcean(dry.xMin, dry.xMax, dry.yMin, dry.yMax, params.waterDepth);
-  applyInstantaneousSource(instantKajiura, recorder, true, params.waterDepth);
+  SweSolver instantKajiura = makeOcean(xMin, xMax, yMin, yMax, waterDepth);
+  applyInstantaneousSource(instantKajiura, recorder, true, waterDepth);
   instantKajiura.advanceTo(tObs);
 
-  SweSolver instantRaw =
-      makeOcean(dry.xMin, dry.xMax, dry.yMin, dry.yMax, params.waterDepth);
-  applyInstantaneousSource(instantRaw, recorder, false, params.waterDepth);
+  SweSolver instantRaw = makeOcean(xMin, xMax, yMin, yMax, waterDepth);
+  applyInstantaneousSource(instantRaw, recorder, false, waterDepth);
   instantRaw.advanceTo(tObs);
 
   const CrossSection a = sample(timeDependent);

@@ -9,20 +9,19 @@
 #include <cstdio>
 
 #include "common/table.hpp"
-#include "scenario/palu.hpp"
+#include "palu_mesh_m.hpp"
 #include "solver/time_clusters.hpp"
 
 using namespace tsg;
 
 int main() {
-  PaluParams params;
-  const PaluScenario s = buildPaluScenario(params);
+  const int degree = 5;  // the paper's production order
+  const ScenarioBundle s = buildScenario(paluMeshMSpec(), degree);
 
   std::vector<Material> mats(s.mesh.numElements());
   for (int e = 0; e < s.mesh.numElements(); ++e) {
     mats[e] = s.materials[s.mesh.elements[e].material];
   }
-  const int degree = 5;  // the paper's production order
   const ClusterLayout layout =
       buildClusters(s.mesh, mats, degree, 0.35, 2, 12);
 

@@ -26,11 +26,12 @@
 #include <memory>
 #include <vector>
 
+#include "common/config.hpp"
 #include "common/table.hpp"
 #include "linking/one_way_linking.hpp"
 #include "perf/host_metadata.hpp"
 #include "perf/perf_monitor.hpp"
-#include "scenario/megathrust.hpp"
+#include "scenario/spec.hpp"
 #include "solver/simulation.hpp"
 #include "swe/swe_solver.hpp"
 
@@ -49,26 +50,29 @@ real envScale() {
 
 int main() {
   std::setvbuf(stdout, nullptr, _IONBF, 0);
-  const real scale = envScale();
-  MegathrustParams params;
-  params.h = 3000.0 / std::min(scale, real(1.5));
-  params.faultAlongStrike = 12000.0;
-  params.faultDownDip = 9000.0;
-  params.domainPadding = 15000.0;
-  params.waterCellSize = 1000.0;
-  params.nucleationRadius = 2200.0;
-  const real tEnd = 14.0 * std::max(real(0.25), std::min(scale, real(2)));
+  // The scale sets the simulated window only; the mesh is the shipped
+  // megathrust.cfg preset padded to 15 km around the fault region, with a
+  // 2.2 km nucleation patch.
+  const real tEnd =
+      14.0 * std::max(real(0.25), std::min(envScale(), real(2)));
   const int degree = 2;
+  const real xMin = -30000, xMax = 21000, yMin = -21000, yMax = 21000;
+  ScenarioSpec spec =
+      loadScenarioSpec(ConfigFile::load(TSG_PRESET_DIR "/megathrust.cfg"));
+  spec.mesh.x.front().lo = xMin;
+  spec.mesh.x.back().hi = xMax;
+  spec.mesh.y.front().lo = yMin;
+  spec.mesh.y.back().hi = yMax;
+  spec.fault.nucleation.front().radius = 2200;
+  spec.receivers.clear();
+  const real waterDepth = spec.bathymetry.baseDepth;
 
   // ---- (a) fully coupled run -------------------------------------------
   std::printf("building coupled megathrust scenario...\n");
-  const MegathrustScenario coupled = buildMegathrustScenario(params);
+  const ScenarioBundle coupled = buildScenario(spec, degree);
   std::printf("coupled mesh: %d elements\n", coupled.mesh.numElements());
-  Simulation sim(coupled.mesh, coupled.materials, megathrustSolverConfig(degree));
-  sim.setInitialCondition([](const Vec3&, int) {
-    return std::array<real, 9>{};
-  });
-  sim.setupFault(coupled.faultInit);
+  const auto simPtr = makeSimulation(coupled);
+  Simulation& sim = *simPtr;
   // Temporal sea-surface series at a probe over the fault: the coupled
   // model superimposes ocean-acoustic oscillations on the tsunami signal
   // (paper: periods < 5.3 s trailing the seismic fronts).
@@ -93,14 +97,9 @@ int main() {
   // report.
   {
     auto buildTimed = [&](KernelPath path) {
-      SolverConfig c = megathrustSolverConfig(degree);
-      c.kernelPath = path;
-      auto s = std::make_unique<Simulation>(coupled.mesh, coupled.materials, c);
-      s->setInitialCondition([](const Vec3&, int) {
-        return std::array<real, 9>{};
-      });
-      s->setupFault(coupled.faultInit);
-      return s;
+      ScenarioBundle b = coupled;
+      b.solver.kernelPath = path;
+      return makeSimulation(b);
     };
     const real benchTEnd = std::max<real>(0.25 * tEnd, 3.0 * sim.macroDt());
     auto timeRun = [&](Simulation& s) {
@@ -220,21 +219,17 @@ int main() {
   }
 
   // ---- (b) earthquake-only run + one-way linked SWE ---------------------
-  MegathrustParams dryParams = params;
-  dryParams.withWater = false;
-  const MegathrustScenario dry = buildMegathrustScenario(dryParams);
-  SolverConfig dryCfg = megathrustSolverConfig(degree);
-  dryCfg.gravity = 0;
-  Simulation eq(dry.mesh, dry.materials, dryCfg);
-  eq.setInitialCondition([](const Vec3&, int) {
-    return std::array<real, 9>{};
-  });
-  eq.setupFault(dry.faultInit);
+  // Same earthquake without the water column: traction-free seafloor, no
+  // gravity (the water material stays in the table, unused).
+  spec.mesh.z.pop_back();
+  spec.boundary.top = BoundaryType::kFreeSurface;
+  spec.gravity = 0;
+  const auto eqPtr = makeSimulation(buildScenario(spec, degree));
+  Simulation& eq = *eqPtr;
   const int gridN = 72;
-  SeafloorUpliftRecorder recorder(
-      gridN, gridN, coupled.xMin, coupled.yMin,
-      (coupled.xMax - coupled.xMin) / gridN,
-      (coupled.yMax - coupled.yMin) / gridN);
+  SeafloorUpliftRecorder recorder(gridN, gridN, xMin, yMin,
+                                  (xMax - xMin) / gridN,
+                                  (yMax - yMin) / gridN);
   // The earthquake-only model has no elastic-acoustic interface, so the
   // seafloor displacement is tracked by integrating v_z at probe points
   // just below the (free) surface after each macro step -- the paper's
@@ -244,9 +239,9 @@ int main() {
   std::vector<real> probeUplift;
   for (int j = 0; j < gridN; ++j) {
     for (int i = 0; i < gridN; ++i) {
-      const real x = coupled.xMin + (i + 0.5) * (coupled.xMax - coupled.xMin) / gridN;
-      const real y = coupled.yMin + (j + 0.5) * (coupled.yMax - coupled.yMin) / gridN;
-      probes.push_back({x, y, -params.waterDepth - 300.0});
+      const real x = xMin + (i + 0.5) * (xMax - xMin) / gridN;
+      const real y = yMin + (j + 0.5) * (yMax - yMin) / gridN;
+      probes.push_back({x, y, -waterDepth - 300.0});
     }
   }
   for (auto& p : probes) {
@@ -277,18 +272,18 @@ int main() {
   SweConfig swc;
   swc.nx = 160;
   swc.ny = 120;
-  swc.x0 = coupled.xMin;
-  swc.y0 = coupled.yMin;
-  const real beachStart = coupled.xMax - 6000.0;
-  swc.dx = (coupled.xMax + 8000.0 - coupled.xMin) / swc.nx;
-  swc.dy = (coupled.yMax - coupled.yMin) / swc.ny;
+  swc.x0 = xMin;
+  swc.y0 = yMin;
+  const real beachStart = xMax - 6000.0;
+  swc.dx = (xMax + 8000.0 - xMin) / swc.nx;
+  swc.dy = (yMax - yMin) / swc.ny;
   SweSolver swe(swc);
   swe.setBathymetry([&](real x, real) {
     if (x < beachStart) {
-      return -params.waterDepth;
+      return -waterDepth;
     }
-    return -params.waterDepth + (x - beachStart) * (params.waterDepth + 50.0) /
-                                    10000.0;  // beach crossing sea level
+    // Beach crossing sea level.
+    return -waterDepth + (x - beachStart) * (waterDepth + 50.0) / 10000.0;
   });
   swe.initializeLakeAtRest(0.0);
   swe.setBedMotion(recorder.bedMotion());
@@ -301,7 +296,7 @@ int main() {
   std::vector<real> etaC, etaL;
   for (int i = 0; i < swc.nx; ++i) {
     const real x = swc.x0 + (i + 0.5) * swc.dx;
-    const real c = (x < coupled.xMax) ? gb->sampleEtaNearest(x, 0.0) : 0.0;
+    const real c = (x < xMax) ? gb->sampleEtaNearest(x, 0.0) : 0.0;
     const real lnk = swe.isWet(i, swc.ny / 2) ? swe.surface(i, swc.ny / 2) : 0.0;
     etaC.push_back(c);
     etaL.push_back(lnk);
@@ -334,7 +329,7 @@ int main() {
   int valid = 0;
   for (std::size_t i = 0; i < etaC.size(); ++i) {
     const real x = swc.x0 + (i + 0.5) * swc.dx;
-    if (x >= coupled.xMax - 2000.0) {
+    if (x >= xMax - 2000.0) {
       continue;  // beach region: models intentionally differ
     }
     dot += cS[i] * lS[i];

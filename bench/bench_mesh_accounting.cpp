@@ -15,7 +15,7 @@
 #include <cstdio>
 
 #include "common/table.hpp"
-#include "scenario/palu.hpp"
+#include "palu_mesh_m.hpp"
 
 using namespace tsg;
 
@@ -26,7 +26,7 @@ struct MeshStats {
   long long acoustic = 0;
 };
 
-MeshStats count(const PaluScenario& s) {
+MeshStats count(const ScenarioBundle& s) {
   MeshStats st;
   st.total = s.mesh.numElements();
   for (int e = 0; e < s.mesh.numElements(); ++e) {
@@ -46,16 +46,21 @@ int main() {
               dofsPerElement);
 
   // Scaled M-like mesh.
-  PaluParams pm;
-  const PaluScenario sm = buildPaluScenario(pm);
-  const MeshStats m = count(sm);
+  const MeshStats m = count(buildScenario(paluMeshMSpec(), degree));
 
-  // Scaled L-like mesh: water layer and fault zone twice as fine.
-  PaluParams pl = pm;
-  pl.hWaterVertical = pm.hWaterVertical / 2;
-  pl.hFault = pm.hFault / 2;
-  const PaluScenario sl = buildPaluScenario(pl);
-  const MeshStats l = count(sl);
+  // Scaled L-like mesh: water layer and fault zone twice as fine -- h =
+  // 1000 with the uniform core kept 2h around the fault segments, and
+  // nine water cells.
+  ScenarioSpec pl = paluMeshMSpec();
+  for (auto* axis : {&pl.mesh.x, &pl.mesh.y, &pl.mesh.z}) {
+    axis->front().h = 1000;
+  }
+  pl.mesh.x.front().uniformLo = -4000;
+  pl.mesh.x.front().uniformHi = 4000;
+  pl.mesh.y.front().uniformLo = -26000;
+  pl.mesh.z.front().uniformLo = -16000;
+  pl.mesh.z.back().cells = 9;
+  const MeshStats l = count(buildScenario(pl, degree));
 
   Table table({"mesh", "elements", "acoustic_elements", "acoustic_fraction",
                "DOF"});

@@ -12,8 +12,9 @@
 //    coupled field smoother (non-hydrostatic filtering),
 //  * waves reflect off the bay coasts.
 //
-// Scaled-down synthetic bay (see DESIGN.md); run length and resolution
-// are tunable via TSG_BENCH_SCALE (default sized for minutes, not hours).
+// Scaled-down synthetic bay (see DESIGN.md): the shipped palu.cfg preset
+// coarsened and cropped; the run length is tunable via TSG_BENCH_SCALE
+// (default sized for minutes, not hours).
 
 #include <algorithm>
 #include <cmath>
@@ -21,9 +22,10 @@
 #include <cstdlib>
 #include <vector>
 
+#include "common/config.hpp"
 #include "common/table.hpp"
 #include "linking/one_way_linking.hpp"
-#include "scenario/palu.hpp"
+#include "scenario/spec.hpp"
 #include "solver/simulation.hpp"
 #include "swe/swe_solver.hpp"
 
@@ -108,40 +110,52 @@ int main() {
   if (const char* s = std::getenv("TSG_BENCH_SCALE")) {
     scale = std::atof(s);
   }
-  PaluParams params;
-  params.hFault = 4000.0;
-  params.hWaterVertical = 350.0;
-  // Shallow shelf cells set dt_min; 200 m keeps the single-core run in
-  // minutes while preserving the bay/shelf depth contrast.
-  params.shelfDepth = 200.0;
-  params.domainHalfX = 16000.0;
-  params.domainSouthY = -32000.0;
-  params.domainNorthY = 32000.0;
+  // The preset's 200 m shelf (its shallow cells set dt_min) keeps the
+  // single-core run in minutes while preserving the bay/shelf depth
+  // contrast.  Coarsen to h = 4 km (uniform core 2h around the fault
+  // segments) and crop the domain to +-16 km x +-32 km, the segments
+  // ending 6 km short of the y sides.
+  ScenarioSpec spec =
+      loadScenarioSpec(ConfigFile::load(TSG_PRESET_DIR "/palu.cfg"));
+  AxisSegmentSpec& xs = spec.mesh.x.front();
+  xs.lo = -16000;
+  xs.uniformLo = -10000;
+  xs.uniformHi = 10000;
+  xs.hi = 16000;
+  xs.h = 4000;
+  AxisSegmentSpec& ys = spec.mesh.y.front();
+  ys.lo = -32000;
+  ys.uniformLo = -32000;
+  ys.hi = 32000;
+  ys.h = 4000;
+  spec.mesh.z.front().uniformLo = -22000;
+  spec.mesh.z.front().h = 4000;
+  spec.fault.segments[0].yMax = 26000;
+  spec.fault.segments[1].yMin = -26000;
+  spec.receivers.clear();
   const std::vector<real> snapshotTimes = {6.0 * scale, 12.0 * scale,
                                            20.0 * scale};
   const real tEnd = snapshotTimes.back();
   const int degree = 2;
 
-  const PaluScenario s = buildPaluScenario(params);
+  const ScenarioBundle s = buildScenario(spec, degree);
   std::printf("Palu mesh: %d elements\n", s.mesh.numElements());
 
-  Simulation sim(s.mesh, s.materials, paluSolverConfig(degree));
-  sim.setInitialCondition([](const Vec3&, int) {
-    return std::array<real, 9>{};
-  });
-  sim.setupFault(s.faultInit);
+  const auto simPtr = makeSimulation(s);
+  Simulation& sim = *simPtr;
   std::printf("dt_min = %.3e s, %d LTS clusters\n", sim.dtMin(),
               sim.clusters().numClusters);
 
-  // Receiver in the bay for the acoustic-content check (Fig. 1a).
+  // Receiver in the bay (700 m deep) for the acoustic-content check
+  // (Fig. 1a).
   const int bayReceiver =
-      sim.addReceiver("bay", {0.0, -12000.0, -0.45 * params.bayDepth});
+      sim.addReceiver("bay", {0.0, -12000.0, -0.45 * 700.0});
 
   // Uplift recorder for the one-way linked branch (the coupled model's
   // seafloor IS the source the linked model sees, cf. Sec. 6.2: both use
   // the same earthquake).
-  const real gxMin = -params.domainHalfX, gxMax = params.domainHalfX;
-  const real gyMin = params.domainSouthY, gyMax = params.domainNorthY;
+  const real gxMin = xs.lo, gxMax = xs.hi;
+  const real gyMin = ys.lo, gyMax = ys.hi;
   const int gridN = 64;
   SeafloorUpliftRecorder recorder(gridN, gridN, gxMin, gyMin,
                                   (gxMax - gxMin) / gridN,
@@ -213,7 +227,10 @@ int main() {
   swc.dx = (gxMax - gxMin) / swc.nx;
   swc.dy = (gyMax - gyMin) / swc.ny;
   SweSolver swe(swc);
-  swe.setBathymetry(s.bathymetry);
+  const BathymetryField bathy(spec.bathymetry.baseDepth,
+                              spec.bathymetry.combine,
+                              spec.bathymetry.features);
+  swe.setBathymetry([&bathy](real x, real y) { return bathy.z(x, y); });
   swe.initializeLakeAtRest(0.0);
   swe.setBedMotion(recorder.bedMotion());
   std::vector<SurfaceGrid> linkedSnapshots;

@@ -15,18 +15,17 @@
 
 #include "common/table.hpp"
 #include "perfmodel/exec_model.hpp"
-#include "scenario/palu.hpp"
+#include "palu_mesh_m.hpp"
 
 using namespace tsg;
 
 int main() {
-  PaluParams params;  // scaled "mesh M"-like setup
-  const PaluScenario s = buildPaluScenario(params);
+  const int degree = 5;
+  const ScenarioBundle s = buildScenario(paluMeshMSpec(), degree);
   std::vector<Material> mats(s.mesh.numElements());
   for (int e = 0; e < s.mesh.numElements(); ++e) {
     mats[e] = s.materials[s.mesh.elements[e].material];
   }
-  const int degree = 5;
   const ClusterLayout clusters = buildClusters(s.mesh, mats, degree, 0.35, 2, 12);
   const auto& rm = referenceMatrices(degree);
   std::printf("Palu scenario: %d elements, %d LTS clusters\n",

@@ -14,8 +14,8 @@
 
 #include "common/table.hpp"
 #include "geometry/mesh_builder.hpp"
+#include "palu_mesh_m.hpp"
 #include "perfmodel/exec_model.hpp"
-#include "scenario/palu.hpp"
 
 using namespace tsg;
 
@@ -41,8 +41,8 @@ Mesh shelfMesh() {
 }  // namespace
 
 int main() {
-  PaluParams params;
-  const PaluScenario s = buildPaluScenario(params);
+  const int degree = 5;
+  const ScenarioBundle s = buildScenario(paluMeshMSpec(), degree);
   std::vector<Material> mats(s.mesh.numElements());
   int drFaces = 0, gFaces = 0;
   for (int e = 0; e < s.mesh.numElements(); ++e) {
@@ -52,7 +52,6 @@ int main() {
       gFaces += s.mesh.faces[e][f].bc == BoundaryType::kGravityFreeSurface;
     }
   }
-  const int degree = 5;
   const ClusterLayout clusters = buildClusters(s.mesh, mats, degree, 0.35, 2, 12);
   const auto& rm = referenceMatrices(degree);
   std::printf("Palu mesh: %d elements, %d DR face refs, %d gravity faces\n",

@@ -1,8 +1,8 @@
 // End-to-end chain in one run: dynamic earthquake rupture -> seismic
 // waves -> seafloor uplift -> ocean acoustic waves -> tsunami onset.
 //
-// A scaled-down megathrust scenario (45-degree dipping thrust fault under
-// a 2 km ocean) nucleates, ruptures, and sources the sea surface; the
+// The shipped megathrust preset (45-degree dipping thrust fault under a
+// 2 km ocean) nucleates, ruptures, and sources the sea surface; the
 // program reports the rupture growth, the radiated moment proxy, the
 // seafloor uplift, and the sea-surface response over time.
 
@@ -10,24 +10,16 @@
 #include <cmath>
 #include <cstdio>
 
-#include "scenario/megathrust.hpp"
+#include "scenario/spec.hpp"
 #include "solver/simulation.hpp"
 
 using namespace tsg;
 
 int main() {
-  MegathrustParams params;
-  params.h = 3000.0;
-  params.faultAlongStrike = 12000.0;
-  params.faultDownDip = 9000.0;
-  params.domainPadding = 12000.0;
-  const MegathrustScenario s = buildMegathrustScenario(params);
-
-  Simulation sim(s.mesh, s.materials, megathrustSolverConfig(2));
-  sim.setInitialCondition([](const Vec3&, int) {
-    return std::array<real, 9>{};
-  });
-  sim.setupFault(s.faultInit);
+  const ScenarioBundle s =
+      loadPresetScenario(TSG_PRESET_DIR "/megathrust.cfg", 2);
+  const auto simPtr = makeSimulation(s);
+  Simulation& sim = *simPtr;
 
   std::printf("mesh: %d elements, %d fault faces, dt_min = %.2e s\n",
               sim.mesh().numElements(), sim.fault()->numFaces(), sim.dtMin());

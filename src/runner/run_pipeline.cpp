@@ -10,7 +10,7 @@
 #include "io/atomic_file.hpp"
 #include "io/vtk_writer.hpp"
 #include "perf/model_validation.hpp"
-#include "scenario/registry.hpp"
+#include "scenario/spec.hpp"
 #include "solver/simulation_assets.hpp"
 #include "solver/diagnostics.hpp"
 #include "solver/health_monitor.hpp"
@@ -130,7 +130,7 @@ ScenarioBundle resolveScenario(const RunOptions& o, const ConfigFile& cfg) {
   if (!o.preset.empty()) {
     return loadPresetScenario(o.preset, o.degree);
   }
-  return buildScenarioFromConfig(cfg, o.degree);
+  return buildScenario(loadScenarioSpec(cfg), o.degree);
 }
 
 std::uint64_t hashFileBytes(const std::string& path) {

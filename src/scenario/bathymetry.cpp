@@ -22,8 +22,8 @@ real BathymetryFeature::shape(real x, real y) const {
     case Kind::kShelf:
       return smooth01((y - start) / length);
     case Kind::kBay: {
-      // Written exactly as the legacy Palu builder so that a preset bay
-      // reproduces the compiled-in bathymetry bitwise.
+      // Expression order is pinned: the Palu preset's deformed mesh (and
+      // with it the committed preset digests) depends on it bitwise.
       const real flankX =
           smooth01((halfWidth - std::abs(x - centerX)) / (0.5 * halfWidth));
       const real flankS = smooth01((y - southEnd) / flankRamp);

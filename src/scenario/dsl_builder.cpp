@@ -1,11 +1,8 @@
 // buildScenario(): materialise a validated ScenarioSpec into a
-// ScenarioBundle.  The closures below are written expression-for-
-// expression like the legacy compiled-in scenario builders (megathrust,
-// palu, CLI quickstart) so that a preset file carrying the same literal
-// parameters reproduces them bitwise -- see tests/test_preset_equivalence
-// for the pin and the comments here for the specific identities relied
-// on (left-to-right association, exactness of *1.0 and negation, and
-// monotonicity of IEEE rounding under a shared positive factor).
+// ScenarioBundle.  The expression order of the closures below is pinned:
+// tests/test_preset_equivalence commits digests of the shipped presets'
+// meshes, fault initialisation and initial state, so any reassociation
+// shows up there.
 
 #include <cmath>
 
@@ -28,7 +25,7 @@ std::vector<real> buildAxisLines(const std::vector<AxisSegmentSpec>& segs) {
       lines = part;
     } else {
       // The first knot duplicates the previous segment's last (validated
-      // lo == hi), exactly like the legacy builders' z-line stitching.
+      // lo == hi).
       lines.insert(lines.end(), part.begin() + 1, part.end());
     }
   }

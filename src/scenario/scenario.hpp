@@ -3,11 +3,9 @@
 // ScenarioBundle: the complete, scenario-agnostic description of one
 // workload -- mesh, material table, solver defaults, initial condition,
 // fault initialisation, optional initial sea-surface displacement, and
-// receiver array.  Both the compiled-in legacy scenario classes and the
-// config-driven DSL (scenario/spec.hpp) produce this one struct, and
-// makeSimulation() assembles a Simulation from it through a single code
-// path, so a preset-built run is structurally identical to a legacy
-// build -- the preset-equivalence suite then pins it bitwise.
+// receiver array.  The config-driven DSL (scenario/spec.hpp) produces
+// it, and makeSimulation() assembles a Simulation from it through one
+// code path shared by the CLI, the ensemble engine, benches and tests.
 
 #include <functional>
 #include <memory>

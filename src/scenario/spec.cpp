@@ -66,10 +66,10 @@ std::vector<AxisSegmentSpec> parseAxis(const ConfigFile& cfg,
       if (s.maxSpacing < s.h) {
         fail(sec.path() + ".max_spacing must be >= h");
       }
-      if (!(s.lo <= s.uniformLo && s.uniformLo <= s.uniformHi &&
+      if (!(s.lo <= s.uniformLo && s.uniformLo < s.uniformHi &&
             s.uniformHi <= s.hi)) {
         fail(sec.path() +
-             ": need lo <= uniform_lo <= uniform_hi <= hi");
+             ": need lo <= uniform_lo < uniform_hi <= hi");
       }
     } else {
       fail(sec.path() + ".type must be uniform | graded (got '" + type +
@@ -739,6 +739,37 @@ ScenarioSpec loadScenarioSpec(const ConfigFile& cfg) {
     spec.receivers.push_back(r);
   }
   return spec;
+}
+
+ScenarioBundle loadPresetScenario(const std::string& path, int degree) {
+  const ConfigFile cfg = ConfigFile::load(path);
+  if (!cfg.hasSections()) {
+    fail("preset " + path +
+         ": no scenario sections found (is this a run config?)");
+  }
+  // Reject run-level keys: a preset describes a scenario, not a run.
+  // (Every top-level key is unused because we only read sections.)
+  const auto runKeys = cfg.unusedKeys();
+  if (!runKeys.empty()) {
+    fail("preset " + path + ": run-level key '" + *runKeys.begin() +
+         "' is not allowed in a preset (set run options in the config that "
+         "references the preset)");
+  }
+  ScenarioBundle bundle = buildScenario(loadScenarioSpec(cfg), degree);
+  if (bundle.name == "custom") {
+    // Default the display name to the file stem.
+    std::string stem = path;
+    const auto slash = stem.find_last_of("/\\");
+    if (slash != std::string::npos) {
+      stem = stem.substr(slash + 1);
+    }
+    const auto dotPos = stem.find_last_of('.');
+    if (dotPos != std::string::npos) {
+      stem = stem.substr(0, dotPos);
+    }
+    bundle.name = stem;
+  }
+  return bundle;
 }
 
 }  // namespace tsg

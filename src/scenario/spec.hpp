@@ -34,9 +34,9 @@
 // overlapping fault segments, non-monotone subfault onsets, and
 // out-of-domain receivers / nucleation patches all throw ConfigError
 // with the fully-qualified key path -- never a crash, never a silent
-// default.  The shipped presets under examples/presets/ re-express the
-// legacy compiled-in scenarios through this path bitwise-identically
-// (tests/test_preset_equivalence.cpp).
+// default.  The shipped presets under examples/presets/ are the paper's
+// workloads; tests/test_preset_equivalence.cpp pins digests of the
+// bundles they build.
 
 #include <string>
 #include <vector>
@@ -170,5 +170,12 @@ ScenarioSpec loadScenarioSpec(const ConfigFile& cfg);
 /// Materialise the spec: build grid lines, mesh, material table, fault
 /// and source closures.  Pure function of (spec, degree).
 ScenarioBundle buildScenario(const ScenarioSpec& spec, int degree);
+
+/// Load a preset file: a config whose content is purely scenario
+/// sections.  Top-level run keys (end_time, kernel_path, ...) in a
+/// preset are a layering error and throw ConfigError -- run options
+/// belong to the run config that references the preset.  A preset
+/// without a [scenario] name is named after its file stem.
+ScenarioBundle loadPresetScenario(const std::string& path, int degree);
 
 }  // namespace tsg

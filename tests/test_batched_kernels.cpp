@@ -22,8 +22,8 @@
 #include <gtest/gtest.h>
 
 #include "kernels/batch_layout.hpp"
-#include "scenario/megathrust.hpp"
 #include "scenario/plane_wave.hpp"
+#include "scenario/spec.hpp"
 #include "solver/simulation.hpp"
 #include "solver/simulation_assets.hpp"
 
@@ -35,30 +35,19 @@ struct ThreadCountGuard {
   ~ThreadCountGuard() { omp_set_num_threads(saved); }
 };
 
-MegathrustScenario megathrustMiniScenario() {
-  MegathrustParams p;
-  p.h = 3000.0;
-  p.faultAlongStrike = 12000.0;
-  p.faultDownDip = 9000.0;
-  p.domainPadding = 12000.0;
-  return buildMegathrustScenario(p);
+ScenarioBundle megathrustPreset() {
+  return loadPresetScenario(std::string(TSG_PRESET_DIR) + "/megathrust.cfg",
+                            2);
 }
 
 std::unique_ptr<Simulation> megathrustMini(KernelPath path, bool deterministic,
                                            int threads, int batchSize = 0) {
   omp_set_num_threads(threads);
-  const MegathrustScenario s = megathrustMiniScenario();
-  SolverConfig sc = megathrustSolverConfig(2);
-  sc.deterministic = deterministic;
-  sc.kernelPath = path;
-  sc.batchSize = batchSize;
-  auto sim = std::make_unique<Simulation>(s.mesh, s.materials, sc);
-  sim->setInitialCondition([](const Vec3&, int) {
-    return std::array<real, 9>{};
-  });
-  sim->setupFault(s.faultInit);
-  sim->addReceiver("water", {0.0, 0.0, -1000.0});
-  sim->addReceiver("crust", {2000.0, 1000.0, -4000.0});
+  ScenarioBundle bundle = megathrustPreset();
+  bundle.solver.deterministic = deterministic;
+  bundle.solver.kernelPath = path;
+  bundle.solver.batchSize = batchSize;
+  auto sim = makeSimulation(bundle);
   sim->advanceTo(2.999 * sim->macroDt());
   return sim;
 }
@@ -115,10 +104,9 @@ TEST(BatchedKernels, MegathrustReceiversBitwiseMatchReference) {
 // The operands exist once per asset: every batch size views that copy
 // (no per-batch-size relayout), in the order every batch layout keeps.
 TEST(BatchedKernels, BatchSizesViewTheOneAssetOperandCopy) {
-  const MegathrustScenario s = megathrustMiniScenario();
-  const SimulationAssets assets(
-      s.mesh, s.materials,
-      AssetConfig::fromSolverConfig(megathrustSolverConfig(2)));
+  const ScenarioBundle s = megathrustPreset();
+  const SimulationAssets assets(s.mesh, s.materials,
+                                AssetConfig::fromSolverConfig(s.solver));
   const auto b8 = assets.batchedAssets(8);
   const auto b16 = assets.batchedAssets(16);
   ASSERT_NE(b8, b16);

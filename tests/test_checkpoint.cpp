@@ -24,10 +24,7 @@
 #include "common/errors.hpp"
 #include "geometry/mesh_builder.hpp"
 #include "io/atomic_file.hpp"
-#include "legacy_scenarios.hpp"
-#include "scenario/megathrust.hpp"
-#include "scenario/registry.hpp"
-#include "scenario/scenario.hpp"
+#include "scenario/spec.hpp"
 #include "solver/simulation.hpp"
 
 namespace tsg {
@@ -144,23 +141,11 @@ TEST(Checkpoint, SmallSimRoundTripIsBitwiseExact) {
   std::remove(path.c_str());
 }
 
-std::unique_ptr<Simulation> megathrustMini() {
-  MegathrustParams p;
-  p.h = 3000.0;
-  p.faultAlongStrike = 12000.0;
-  p.faultDownDip = 9000.0;
-  p.domainPadding = 12000.0;
-  const MegathrustScenario s = buildMegathrustScenario(p);
-  SolverConfig sc = megathrustSolverConfig(2);
-  sc.deterministic = true;
-  auto sim = std::make_unique<Simulation>(s.mesh, s.materials, sc);
-  sim->setInitialCondition([](const Vec3&, int) {
-    return std::array<real, 9>{};
-  });
-  sim->setupFault(s.faultInit);
-  sim->addReceiver("water", {0.0, 0.0, -1000.0});
-  sim->addReceiver("crust", {2000.0, 1000.0, -4000.0});
-  return sim;
+std::unique_ptr<Simulation> presetSim(const std::string& name) {
+  ScenarioBundle bundle = loadPresetScenario(
+      std::string(TSG_PRESET_DIR) + "/" + name + ".cfg", 2);
+  bundle.solver.deterministic = true;
+  return makeSimulation(bundle);
 }
 
 TEST(Checkpoint, MegathrustKillAndResumeReceiverCsvsAreByteIdentical) {
@@ -169,14 +154,14 @@ TEST(Checkpoint, MegathrustKillAndResumeReceiverCsvsAreByteIdentical) {
   // an uninterrupted one.  Covers DOFs, gravity eta, LSW fault state, and
   // seafloor uplift through a full coupled dynamic-rupture setup.
   const std::string path = "ckpt_megathrust.tsgck";
-  auto a = megathrustMini();
+  auto a = presetSim("megathrust");
   const real t1 = 2.0 * a->macroDt() - 1e-12;
   const real t2 = 4.0 * a->macroDt() - 1e-12;
   a->advanceTo(t1);
   a->saveCheckpoint(path);
   a->advanceTo(t2);
 
-  auto b = megathrustMini();
+  auto b = presetSim("megathrust");
   b->restoreCheckpoint(path);
   b->advanceTo(t2);
 
@@ -379,38 +364,18 @@ TEST(Checkpoint, RelayoutSurvivesCrossKernelPathSaveRestore) {
   std::remove(path.c_str());
 }
 
-/// The quickstart scenario built either from the legacy fixture (the
-/// golden compiled-in path) or from the shipped preset file (the DSL
-/// path), with identical solver-side settings.
-std::unique_ptr<Simulation> quickstartSim(bool fromPreset) {
-  ScenarioBundle bundle =
-      fromPreset
-          ? loadPresetScenario(std::string(TSG_PRESET_DIR) + "/quickstart.cfg",
-                               2)
-          : legacyQuickstartBundle(2);
-  bundle.solver.deterministic = true;
-  return makeSimulation(bundle);
-}
-
-TEST(Checkpoint, PresetBuiltSimRoundTripsAndCrossRestoresWithBuiltin) {
-  // Registry-built scenario -> checkpoint -> restore resumes bitwise,
-  // and because the preset reproduces the builtin exactly, the two
-  // construction paths share a configHash: a checkpoint written by a
-  // builtin-built run restores into a preset-built simulation and
-  // continues identically (and vice versa would hold by symmetry).
+TEST(Checkpoint, PresetBuiltSimRoundTripsBitwise) {
+  // Preset-built scenario -> checkpoint -> restore into a second
+  // preset-built simulation resumes bitwise.
   const std::string path = "ckpt_preset.tsgck";
-  auto a = quickstartSim(/*fromPreset=*/false);
-  auto p = quickstartSim(/*fromPreset=*/true);
-  ASSERT_EQ(a->configHash(), p->configHash())
-      << "preset and builtin quickstart must hash identically or "
-         "checkpoints stop being interchangeable";
+  auto a = presetSim("quickstart");
+  auto p = presetSim("quickstart");
   const real t1 = 2.0 * a->macroDt() - 1e-12;
   const real t2 = 4.0 * a->macroDt() - 1e-12;
   a->advanceTo(t1);
   a->saveCheckpoint(path);
   a->advanceTo(t2);
 
-  // Restore the builtin-written checkpoint into the preset-built sim.
   p->restoreCheckpoint(path);
   p->advanceTo(t2);
   EXPECT_EQ(a->tick(), p->tick());

@@ -18,7 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "geometry/mesh_builder.hpp"
-#include "scenario/megathrust.hpp"
+#include "scenario/spec.hpp"
 #include "solver/simulation.hpp"
 
 namespace tsg {
@@ -72,21 +72,10 @@ TEST(Determinism, ThreadScratchSurvivesThreadCountGrowth) {
 
 std::unique_ptr<Simulation> megathrustMini(bool deterministic, int threads) {
   omp_set_num_threads(threads);
-  MegathrustParams p;
-  p.h = 3000.0;
-  p.faultAlongStrike = 12000.0;
-  p.faultDownDip = 9000.0;
-  p.domainPadding = 12000.0;
-  const MegathrustScenario s = buildMegathrustScenario(p);
-  SolverConfig sc = megathrustSolverConfig(2);
-  sc.deterministic = deterministic;
-  auto sim = std::make_unique<Simulation>(s.mesh, s.materials, sc);
-  sim->setInitialCondition([](const Vec3&, int) {
-    return std::array<real, 9>{};
-  });
-  sim->setupFault(s.faultInit);
-  sim->addReceiver("water", {0.0, 0.0, -1000.0});
-  sim->addReceiver("crust", {2000.0, 1000.0, -4000.0});
+  ScenarioBundle bundle =
+      loadPresetScenario(std::string(TSG_PRESET_DIR) + "/megathrust.cfg", 2);
+  bundle.solver.deterministic = deterministic;
+  auto sim = makeSimulation(bundle);
   sim->advanceTo(2.999 * sim->macroDt());
   return sim;
 }

@@ -1,17 +1,20 @@
-// Preset-equivalence harness (the scenario-DSL acceptance criterion):
-// each shipped preset under examples/presets/ must reproduce its
-// compiled-in ancestor BITWISE -- receiver CSVs byte-compare equal and
-// the full DOF vectors memcmp equal -- across kernel backends and
-// OpenMP thread counts.  The registry builtins are the golden legacy
-// builders (scenario/registry.cpp keeps them verbatim for one release);
-// the presets go through ConfigFile -> ScenarioSpec -> buildScenario.
-// The two genuinely new config-only workloads (kinematic_subfault,
-// seamount_hump) have no ancestor; they are pinned for determinism and
-// basic physics instead.
+// Preset pins.  The shipped presets under examples/presets/ are the
+// paper's workloads (and what every bench, example and scenario test
+// builds from), so what they build is pinned by committed digests:
+//  * computeAssetHash (mesh, material table, structural solver config),
+//  * FaultPointInit at every dynamic-rupture face centroid, plus the
+//    friction law,
+//  * the receiver list and the initial condition sampled per element.
+// The digests were generated when the presets still had compiled-in
+// ancestors that reproduced them bitwise.  They avoid most libm calls, so
+// they are far more host-stable than a digest of a run.  The two
+// config-only workloads (kinematic_subfault, seamount_hump) are pinned for
+// thread-count determinism and basic physics instead.
 
 #include <omp.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -21,14 +24,10 @@
 
 #include <gtest/gtest.h>
 
-#include "legacy_scenarios.hpp"
-#include "scenario/registry.hpp"
-#include "scenario/scenario.hpp"
+#include "physics/jacobians.hpp"
+#include "scenario/spec.hpp"
 #include "solver/simulation.hpp"
-
-#ifndef TSG_PRESET_DIR
-#error "TSG_PRESET_DIR must point at examples/presets (set in CMakeLists)"
-#endif
+#include "solver/simulation_assets.hpp"
 
 namespace tsg {
 namespace {
@@ -49,6 +48,74 @@ std::string fileBytes(const std::string& path) {
   return ss.str();
 }
 
+/// FNV-1a offset basis: the digest of nothing (e.g. no initial condition).
+constexpr std::uint64_t kEmptyDigest = 1469598103934665603ull;
+
+/// FNV-1a over the object representation of every value added.
+class Digest {
+ public:
+  template <typename T>
+  void add(const T& v) {
+    const auto* b = reinterpret_cast<const unsigned char*>(&v);
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      h_ ^= b[i];
+      h_ *= 1099511628211ull;
+    }
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = kEmptyDigest;
+};
+
+struct BundleDigests {
+  std::uint64_t asset, faultInit, receivers, initial;
+};
+
+BundleDigests digestsOf(const ScenarioBundle& b) {
+  Digest fault;
+  fault.add(b.solver.frictionLaw);
+  if (b.faultInit) {
+    for (int e = 0; e < b.mesh.numElements(); ++e) {
+      for (int f = 0; f < 4; ++f) {
+        if (b.mesh.faces[e][f].bc != BoundaryType::kDynamicRupture) {
+          continue;
+        }
+        const Vec3 n = b.mesh.faceNormal(e, f);
+        Vec3 t1, t2;
+        faceBasis(n, t1, t2);
+        // FaultPointInit holds only reals: no padding bytes.
+        fault.add(b.faultInit(b.mesh.faceCentroid(e, f), n, t1, t2));
+      }
+    }
+  }
+  Digest receivers;
+  for (const auto& r : b.receivers) {
+    for (const char c : r.name) {
+      receivers.add(c);
+    }
+    receivers.add(r.x);
+  }
+  Digest initial;
+  if (b.initial) {
+    for (int e = 0; e < b.mesh.numElements(); ++e) {
+      initial.add(b.initial(b.mesh.centroid(e), b.mesh.elements[e].material));
+    }
+  }
+  return {computeAssetHash(b.mesh, b.materials,
+                           AssetConfig::fromSolverConfig(b.solver)),
+          fault.value(), receivers.value(), initial.value()};
+}
+
+void expectDigests(const std::string& name, const BundleDigests& want) {
+  const ScenarioBundle bundle = loadPresetScenario(presetPath(name), 2);
+  const BundleDigests got = digestsOf(bundle);
+  EXPECT_EQ(got.asset, want.asset) << name << ": mesh/materials/config";
+  EXPECT_EQ(got.faultInit, want.faultInit) << name << ": fault init";
+  EXPECT_EQ(got.receivers, want.receivers) << name << ": receivers";
+  EXPECT_EQ(got.initial, want.initial) << name << ": initial condition";
+}
+
 /// Build and advance a bundle three macro cycles in deterministic mode
 /// on the given backend / thread count.
 std::unique_ptr<Simulation> runBundle(ScenarioBundle bundle, KernelPath path,
@@ -61,9 +128,9 @@ std::unique_ptr<Simulation> runBundle(ScenarioBundle bundle, KernelPath path,
   return sim;
 }
 
-/// The equivalence contract: receiver series (in memory AND as CSV
-/// bytes), the full modal DOF vector, sea-surface eta, seafloor uplift,
-/// and the fault state summary all bitwise equal.
+/// The bitwise contract between two runs: receiver series (in memory AND
+/// as CSV bytes), the full modal DOF vector, sea-surface eta, seafloor
+/// uplift, and the fault state summary.
 void expectBitwiseEqual(Simulation& a, Simulation& b, const std::string& tag) {
   ASSERT_EQ(a.numReceivers(), b.numReceivers()) << tag;
   for (int r = 0; r < a.numReceivers(); ++r) {
@@ -110,48 +177,23 @@ void expectBitwiseEqual(Simulation& a, Simulation& b, const std::string& tag) {
   }
 }
 
-void expectPresetMatchesBuiltin(const std::string& name, KernelPath path,
-                                int threads) {
-  ThreadCountGuard guard;
-  const int degree = 2;
-  const auto legacyBundle = [&]() -> ScenarioBundle {
-    if (name == "quickstart") return legacyQuickstartBundle(degree);
-    if (name == "megathrust") return legacyMegathrustBundle(degree);
-    if (name == "palu") return legacyPaluBundle(degree);
-    throw std::logic_error("no legacy fixture for scenario '" + name + "'");
-  };
-  auto legacy = runBundle(legacyBundle(), path, threads);
-  auto preset =
-      runBundle(loadPresetScenario(presetPath(name), degree), path, threads);
-  const std::string tag = name + "/" + kernelPathName(path) + "/t" +
-                          std::to_string(threads);
-  ASSERT_EQ(legacy->macroDt(), preset->macroDt()) << tag;
-  expectBitwiseEqual(*legacy, *preset, tag);
+// Quickstart: pressure-pulse initial condition and receivers, no fault.
+TEST(PresetEquivalence, QuickstartBundleMatchesPinnedDigests) {
+  expectDigests("quickstart", {0xddc2a54de6cc1ea2ull, 0x315446a086a23133ull,
+                               0x8ac5cc2275e0c127ull, 0x1cfe20f0b602ab23ull});
 }
 
-// Full backend x thread matrix on the cheapest scenario.
-TEST(PresetEquivalence, QuickstartMatchesBuiltinAcrossBackendsAndThreads) {
-  for (const KernelPath path : {KernelPath::kReference, KernelPath::kBatched}) {
-    for (const int threads : {1, 4}) {
-      expectPresetMatchesBuiltin("quickstart", path, threads);
-    }
-  }
-}
-
-// Dynamic rupture + LTS + cohesion taper + 45-degree dipping segment.
-TEST(PresetEquivalence, MegathrustMatchesBuiltinBothThreadCounts) {
-  expectPresetMatchesBuiltin("megathrust", KernelPath::kBatched, 1);
-  expectPresetMatchesBuiltin("megathrust", KernelPath::kBatched, 4);
-}
-
-TEST(PresetEquivalence, MegathrustMatchesBuiltinOnReferencePath) {
-  expectPresetMatchesBuiltin("megathrust", KernelPath::kReference, 4);
+// Dynamic rupture + cohesion taper + 45-degree dipping segment.
+TEST(PresetEquivalence, MegathrustBundleMatchesPinnedDigests) {
+  expectDigests("megathrust", {0x4139caea356a5002ull, 0xccc8d73775c8aacbull,
+                               0xc21541c7c7aee817ull, kEmptyDigest});
 }
 
 // Rate-and-state friction, two-segment stepover, bathymetry-deformed
 // mesh, ramped nucleation: the full Palu feature set.
-TEST(PresetEquivalence, PaluMatchesBuiltin) {
-  expectPresetMatchesBuiltin("palu", KernelPath::kBatched, 4);
+TEST(PresetEquivalence, PaluBundleMatchesPinnedDigests) {
+  expectDigests("palu", {0x243fbcb35358efedull, 0x58846b8be008e43eull,
+                         0x7eede33236d0d6ccull, kEmptyDigest});
 }
 
 // The genuinely new config-only workload: a kinematic three-subfault

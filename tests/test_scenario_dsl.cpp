@@ -1,4 +1,4 @@
-// Config-driven scenario DSL (scenario/spec, registry):
+// Config-driven scenario DSL (scenario/spec):
 //  * every negative path is a typed ConfigError naming the offending key
 //    path -- unknown sections/keys, overlapping fault segments,
 //    non-monotone subfault onsets, out-of-domain receivers and
@@ -6,9 +6,8 @@
 //  * the built bundle carries the declared physics: kinematic ramp
 //    onsets reach FaultPointInit, layered materials classify elements,
 //    eta/pressure sources produce initial state,
-//  * preset files reject run-level keys; the registry lists known names.
+//  * preset files reject run-level keys.
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -18,8 +17,6 @@
 
 #include "common/config.hpp"
 #include "common/errors.hpp"
-#include "legacy_scenarios.hpp"
-#include "scenario/registry.hpp"
 #include "scenario/spec.hpp"
 
 namespace tsg {
@@ -135,6 +132,15 @@ TEST(ScenarioDsl, AxisMustBeContiguousAndSane) {
       baseConfig(), "[[mesh.y]]\ntype = uniform\nlo = -4000\nhi = 4000\n"
                     "cells = 4\n", "");
   expectSpecError(noY, "missing [[mesh.y]]");
+  // A graded segment needs a non-empty uniform core: uniform_lo ==
+  // uniform_hi would build a zero-width cell (dt_min = 0).
+  const std::string zeroCore = replaced(
+      baseConfig(), "[[mesh.x]]\ntype = uniform\nlo = -4000\nhi = 4000\n"
+                    "cells = 4\n",
+      "[[mesh.x]]\ntype = graded\nlo = -4000\nuniform_lo = 0\n"
+      "uniform_hi = 0\nhi = 4000\nh = 1000\nmax_spacing = 2000\n");
+  expectSpecError(zeroCore,
+                  "mesh.x[0]: need lo <= uniform_lo < uniform_hi <= hi");
 }
 
 TEST(ScenarioDsl, OverlappingFaultSegmentsAreRejected) {
@@ -358,35 +364,6 @@ TEST(ScenarioDsl, EtaSourceBuildsInitialSurface) {
   ASSERT_TRUE(static_cast<bool>(bundle.initialEta));
   EXPECT_EQ(bundle.initialEta(0, 0), 2.0);
   EXPECT_LT(bundle.initialEta(3000, 0), 0.1);
-}
-
-TEST(ScenarioDsl, RegistryShipsEmptyAndRejectsUnknownNames) {
-  // The process-wide registry ships empty: the compiled-in scenarios are
-  // test fixtures now (legacy_scenarios.hpp) and the CLI rejects
-  // `scenario = <class>` outright.
-  auto& reg = ScenarioRegistry::instance();
-  EXPECT_FALSE(reg.has("quickstart"));
-  EXPECT_FALSE(reg.has("megathrust"));
-  EXPECT_FALSE(reg.has("palu"));
-  EXPECT_TRUE(reg.names().empty());
-  try {
-    reg.build("not-a-scenario", 2);
-    FAIL() << "unknown scenario accepted";
-  } catch (const ConfigError& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("unknown scenario 'not-a-scenario'"), std::string::npos)
-        << msg;
-    EXPECT_NE(msg.find("preset"), std::string::npos) << msg;
-  }
-  // The machinery itself still works for embedder-registered scenarios.
-  ScenarioRegistry local;
-  local.add("fixture", [](int degree) {
-    return legacyQuickstartBundle(degree);
-  });
-  EXPECT_TRUE(local.has("fixture"));
-  EXPECT_EQ(local.build("fixture", 2).name, "quickstart");
-  const auto names = local.names();
-  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
 }
 
 TEST(ScenarioDsl, PresetFilesRejectRunLevelKeys) {

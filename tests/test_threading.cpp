@@ -29,8 +29,7 @@
 
 #include "perf/perf_monitor.hpp"
 #include "perfmodel/pinning.hpp"
-#include "scenario/megathrust.hpp"
-#include "scenario/registry.hpp"
+#include "scenario/spec.hpp"
 #include "solver/cluster_scheduler.hpp"
 #include "solver/simulation.hpp"
 #include "solver/thread_plan.hpp"
@@ -157,26 +156,14 @@ TEST(ThreadPlan, FaultRangesTileTheClusterFaceCounts) {
   }
 }
 
-/// Small megathrust scenario with a real fault (same shape the
-/// determinism acceptance test uses).
-std::unique_ptr<Simulation> miniMegathrust() {
-  MegathrustParams p;
-  p.h = 3000.0;
-  p.faultAlongStrike = 12000.0;
-  p.faultDownDip = 9000.0;
-  p.domainPadding = 12000.0;
-  const MegathrustScenario s = buildMegathrustScenario(p);
-  auto sim = std::make_unique<Simulation>(s.mesh, s.materials,
-                                          megathrustSolverConfig(2));
-  sim->setInitialCondition([](const Vec3&, int) {
-    return std::array<real, 9>{};
-  });
-  sim->setupFault(s.faultInit);
-  return sim;
+/// The megathrust preset: a small scenario with a real fault.
+ScenarioBundle megathrustPreset() {
+  return loadPresetScenario(std::string(TSG_PRESET_DIR) + "/megathrust.cfg",
+                            2);
 }
 
 TEST(Threading, FaultFaceClusterListsMatchBruteForceScan) {
-  const auto sim = miniMegathrust();
+  const auto sim = makeSimulation(megathrustPreset());
   const FaultSolver* fault = sim->fault();
   ASSERT_NE(fault, nullptr);
   ASSERT_GT(fault->numFaces(), 0);
@@ -228,8 +215,7 @@ std::uint64_t digestOf(const Container& c) {
 // 1 and 4 threads (and under TSan this runs the parallel region).
 TEST(Threading, AssetOperandsBitwiseAcrossThreadCounts) {
   const int saved = omp_get_max_threads();
-  const ScenarioBundle bundle =
-      loadPresetScenario(std::string(TSG_PRESET_DIR) + "/megathrust.cfg", 2);
+  const ScenarioBundle bundle = megathrustPreset();
   const AssetConfig cfg = AssetConfig::fromSolverConfig(bundle.solver);
   std::vector<std::vector<std::uint64_t>> digests;
   for (const int threads : {1, 4}) {
@@ -289,7 +275,7 @@ TEST(Threading, NullMonitorRecorderIsANoOp) {
 }
 
 TEST(Threading, PerfReportRecordsThreadCount) {
-  const auto sim = miniMegathrust();
+  const auto sim = makeSimulation(megathrustPreset());
   const PerfReportMeta meta = sim->perfReportMeta("unit");
   EXPECT_GE(meta.threads, 1);
   PerfMonitor m;
@@ -345,22 +331,13 @@ TEST(Threading, SchedulerHonorsPinThreadsConfigWithoutChangingResults) {
   // pinThreads is an execution strategy: switching it on must not change
   // a single bit of the output.
   const int saved = omp_get_max_threads();
-  MegathrustParams p;
-  p.h = 3000.0;
-  p.faultAlongStrike = 12000.0;
-  p.faultDownDip = 9000.0;
-  p.domainPadding = 12000.0;
-  const MegathrustScenario s = buildMegathrustScenario(p);
+  const ScenarioBundle s = megathrustPreset();
   auto run = [&](bool pin) {
     omp_set_num_threads(2);
-    SolverConfig sc = megathrustSolverConfig(2);
-    sc.deterministic = true;
-    sc.pinThreads = pin;
-    auto sim = std::make_unique<Simulation>(s.mesh, s.materials, sc);
-    sim->setInitialCondition([](const Vec3&, int) {
-      return std::array<real, 9>{};
-    });
-    sim->setupFault(s.faultInit);
+    ScenarioBundle bundle = s;
+    bundle.solver.deterministic = true;
+    bundle.solver.pinThreads = pin;
+    auto sim = makeSimulation(bundle);
     sim->advanceTo(1.999 * sim->macroDt());
     return sim;
   };
