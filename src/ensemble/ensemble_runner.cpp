@@ -264,9 +264,6 @@ EnsembleResult runEnsemble(const EnsemblePlan& plan,
           // aggregated from RunResult::perfPhases, not by re-parsing it.
           o.perfReportPath = m.prefix + "_perf.json";
         }
-        if (opts.modelCheck) {
-          o.modelCheckPath = m.prefix + "_modelcheck.json";
-        }
         RunHooks hooks;
         if (opts.shareAssets) {
           hooks.assetProvider = [&cache](const ScenarioBundle& bundle) {

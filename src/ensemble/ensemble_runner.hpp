@@ -66,9 +66,6 @@ struct EnsembleOptions {
   /// each member's perf monitor and tsg-perf-1 report
   /// (<memberPrefix>_perf.json); referenced from the status heartbeat.
   std::string fleetPerfPath;
-  /// Each member also writes <memberPrefix>_modelcheck.json
-  /// ("tsg-modelcheck-1": host roofline + perfmodel drift).
-  bool modelCheck = false;
 };
 
 struct MemberOutcome {

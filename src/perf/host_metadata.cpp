@@ -31,8 +31,7 @@ void putEnv(std::map<std::string, std::string>& out, const char* key,
   }
 }
 
-}  // namespace
-
+/// First "model name" line of /proc/cpuinfo ("" when unavailable).
 std::string cpuModelString() {
   std::ifstream in("/proc/cpuinfo");
   std::string line;
@@ -51,10 +50,13 @@ std::string cpuModelString() {
   return "";
 }
 
+/// cpu0's cpufreq scaling governor from sysfs ("" when unavailable).
 std::string scalingGovernor() {
   return firstLine(
       "/sys/devices/system/cpu/cpu0/cpufreq/scaling_governor");
 }
+
+}  // namespace
 
 std::map<std::string, std::string> collectHostMetadata() {
   std::map<std::string, std::string> out;
@@ -71,7 +73,6 @@ std::map<std::string, std::string> collectHostMetadata() {
   putEnv(out, "omp_proc_bind", "OMP_PROC_BIND");
   putEnv(out, "omp_places", "OMP_PLACES");
   putEnv(out, "tsg_pin", "TSG_PIN");
-  putEnv(out, "tsg_no_hw_counters", "TSG_NO_HW_COUNTERS");
   return out;
 }
 

@@ -17,14 +17,8 @@ namespace tsg {
 
 /// Best-effort host metadata: "nproc", "cpu_model", "scaling_governor",
 /// and the run environment ("omp_num_threads", "omp_proc_bind",
-/// "omp_places", "tsg_pin", "tsg_no_hw_counters") --
-/// env keys only when set.  Feed into PerfReportMeta::host.
+/// "omp_places", "tsg_pin") -- env keys only when set.  Feed into
+/// PerfReportMeta::host.
 std::map<std::string, std::string> collectHostMetadata();
-
-/// First "model name" line of /proc/cpuinfo ("" when unavailable).
-std::string cpuModelString();
-
-/// cpu0's cpufreq scaling governor from sysfs ("" when unavailable).
-std::string scalingGovernor();
 
 }  // namespace tsg

@@ -1,11 +1,6 @@
 #include "perf/perf_monitor.hpp"
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -25,17 +20,6 @@ double nowSeconds() {
 }
 
 std::string jsonString(const std::string& s) { return jsonQuote(s); }
-
-/// The legacy begin/end bracket shares one t0_/flops0_ pair: concurrent
-/// callers inside a parallel region would silently interleave and produce
-/// garbage seconds/FLOPs.  Debug builds fail fast instead.
-void assertSerialPhaseApi() {
-#ifdef _OPENMP
-  assert(!omp_in_parallel() &&
-         "PerfMonitor::beginPhase/endPhase are orchestrating-thread-only; "
-         "use PerfThreadRecorder inside parallel regions");
-#endif
-}
 
 /// Trace tid of the named-span "run/io" track: keeps orchestration spans
 /// off the per-cluster kernel rows without colliding with cluster ids.
@@ -57,51 +41,21 @@ const char* phaseName(Phase p) {
 
 PerfMonitor::PerfMonitor() : epoch_(nowSeconds()) {}
 
-const double PerfMonitor::kZeroWall[kNumPhases] = {0, 0, 0};
-
 void PerfMonitor::ensureCluster(int phase, int cluster) {
   if (static_cast<int>(stats_[phase].size()) <= cluster) {
     stats_[phase].resize(cluster + 1);
   }
 }
 
-void PerfMonitor::beginPhase(Phase p, int cluster) {
-  (void)p;
-  (void)cluster;
-  assertSerialPhaseApi();
-  flops0_ = totalFlops();
-  t0_ = nowSeconds();
-}
-
-void PerfMonitor::endPhase(Phase p, int cluster, std::uint64_t elements,
-                           std::uint64_t bytesEstimate) {
-  assertSerialPhaseApi();
-  const double t1 = nowSeconds();
-  const std::uint64_t flops1 = totalFlops();
-  const int pi = static_cast<int>(p);
-  ensureCluster(pi, cluster);
-  PhaseStats& s = stats_[pi][cluster];
-  s.seconds += t1 - t0_;
-  // The serial bracket IS the region wall: busy == wall here.
-  wall_[pi] += t1 - t0_;
-  s.invocations += 1;
-  s.flops += flops1 - flops0_;
-  s.elementUpdates += elements;
-  s.bytesEstimate += bytesEstimate;
-  if (traceEnabled_ && !traceSaturated_) {
-    if (trace_.size() >= maxTraceEvents_) {
-      traceSaturated_ = true;  // keep the head; do not grow unboundedly
-    } else {
-      trace_.push_back({static_cast<std::int8_t>(pi), cluster, -1,
-                        (t0_ - epoch_) * 1e6, (t1 - t0_) * 1e6});
-    }
-  }
+bool PerfMonitor::traceHasRoom() const {
+  return traceEnabled_ &&
+         trace_.size() + namedTrace_.size() < maxTraceEvents_;
 }
 
 void PerfMonitor::mergeThread(
     const std::vector<PhaseStats> (&stats)[kNumPhases],
     const std::vector<TraceEvent>& trace,
-    const double (&wall)[kNumPhases], unsigned hwMask) {
+    const double (&wall)[kNumPhases]) {
   std::lock_guard<std::mutex> lock(mergeMutex_);
   for (int p = 0; p < kNumPhases; ++p) {
     if (!stats[p].empty()) {
@@ -112,15 +66,11 @@ void PerfMonitor::mergeThread(
     }
     wall_[p] += wall[p];
   }
-  hwMask_ |= hwMask;
-  if (traceEnabled_ && !traceSaturated_) {
-    for (const TraceEvent& e : trace) {
-      if (trace_.size() >= maxTraceEvents_) {
-        traceSaturated_ = true;
-        break;
-      }
-      trace_.push_back(e);
+  for (const TraceEvent& e : trace) {
+    if (!traceHasRoom()) {
+      break;
     }
+    trace_.push_back(e);
   }
 }
 
@@ -132,22 +82,12 @@ PerfThreadRecorder::PerfThreadRecorder(PerfMonitor* monitor, int numClusters,
       perPhase.resize(numClusters);
     }
     captureTrace_ = m_->traceEnabled();
-    if (m_->hwCountersRequested()) {
-      // Opens this thread's counter group on first use; an unavailable
-      // group (sandboxed CI, non-Linux) simply leaves captureHw_ false.
-      HwCounterGroup& g = threadHwCounters();
-      captureHw_ = g.available();
-      hwMask_ = g.mask();
-    }
   }
 }
 
 void PerfThreadRecorder::begin() {
   if (m_) {
     flops0_ = threadFlops();
-    if (captureHw_) {
-      hw0_ = threadHwCounters().sample();
-    }
     t0_ = nowSeconds();
   }
 }
@@ -164,18 +104,6 @@ void PerfThreadRecorder::end(Phase p, int cluster, std::uint64_t elements,
   s.flops += threadFlops() - flops0_;
   s.elementUpdates += elements;
   s.bytesEstimate += bytesEstimate;
-  if (captureHw_) {
-    const HwCounterDelta d =
-        hwCounterDelta(hw0_, threadHwCounters().sample(), hwMask_);
-    if (d.valid) {
-      s.cycles += d.cycles;
-      s.instructions += d.instructions;
-      s.llcRefs += d.llcRefs;
-      s.llcMisses += d.llcMisses;
-      s.stalledBackendCycles += d.stalledBackend;
-      s.hwSamples += 1;
-    }
-  }
   // Local capture is bounded by the monitor's global cap at merge time;
   // per-thread growth within one macro cycle is a few events per wave.
   if (captureTrace_) {
@@ -203,7 +131,7 @@ void PerfThreadRecorder::flush(int thread) {
   for (PerfMonitor::TraceEvent& e : trace_) {
     e.thread = thread;
   }
-  m_->mergeThread(stats_, trace_, wall_, captureHw_ ? hwMask_ : 0u);
+  m_->mergeThread(stats_, trace_, wall_);
   for (auto& perPhase : stats_) {
     std::fill(perPhase.begin(), perPhase.end(), PhaseStats{});
   }
@@ -219,15 +147,13 @@ void PerfMonitor::recordSpan(const char* name, double t0, double t1) {
   SpanStats& s = spans_[name];
   s.seconds += t1 - t0;
   s.invocations += 1;
-  if (traceEnabled_ &&
-      trace_.size() + namedTrace_.size() < maxTraceEvents_) {
+  if (traceHasRoom()) {
     namedTrace_.push_back({name, (t0 - epoch_) * 1e6, (t1 - t0) * 1e6, 0});
   }
 }
 
 void PerfMonitor::instant(const char* name, std::uint64_t value) {
-  if (traceEnabled_ &&
-      trace_.size() + namedTrace_.size() < maxTraceEvents_) {
+  if (traceHasRoom()) {
     namedTrace_.push_back(
         {name, (nowSeconds() - epoch_) * 1e6, -1.0, value});
   }
@@ -270,11 +196,9 @@ void PerfMonitor::reset() {
   for (double& w : wall_) {
     w = 0;
   }
-  hwMask_ = 0;
   spans_.clear();
   trace_.clear();
   namedTrace_.clear();
-  traceSaturated_ = false;
 }
 
 void PerfMonitor::writeChromeTrace(const std::string& path) const {
@@ -291,20 +215,12 @@ void PerfMonitor::writeChromeTrace(const std::string& path) const {
     out += ',';
     // Rows stay keyed by cluster; the producing worker thread (persistent
     // parallel region) is carried in args so Perfetto can slice by it.
-    if (e.thread >= 0) {
-      std::snprintf(buf, sizeof buf,
-                    "{\"name\":\"%s\",\"cat\":\"phase\",\"ph\":\"X\","
-                    "\"ts\":%.3f,\"dur\":%.3f,\"pid\":0,\"tid\":%d,"
-                    "\"args\":{\"thread\":%d}}",
-                    phaseName(static_cast<Phase>(e.phase)), e.beginUs,
-                    e.durUs, e.cluster, e.thread);
-    } else {
-      std::snprintf(buf, sizeof buf,
-                    "{\"name\":\"%s\",\"cat\":\"phase\",\"ph\":\"X\","
-                    "\"ts\":%.3f,\"dur\":%.3f,\"pid\":0,\"tid\":%d}",
-                    phaseName(static_cast<Phase>(e.phase)), e.beginUs,
-                    e.durUs, e.cluster);
-    }
+    std::snprintf(buf, sizeof buf,
+                  "{\"name\":\"%s\",\"cat\":\"phase\",\"ph\":\"X\","
+                  "\"ts\":%.3f,\"dur\":%.3f,\"pid\":0,\"tid\":%d,"
+                  "\"args\":{\"thread\":%d}}",
+                  phaseName(static_cast<Phase>(e.phase)), e.beginUs,
+                  e.durUs, e.cluster, e.thread);
     out += buf;
   }
   for (const NamedEvent& e : namedTrace_) {
@@ -330,60 +246,25 @@ void PerfMonitor::writeChromeTrace(const std::string& path) const {
 namespace {
 
 void appendStats(std::string& out, const PhaseStats& s) {
-  char buf[448];
+  char buf[384];
   const double gflops = s.seconds > 0 ? s.flops / s.seconds / 1e9 : 0.0;
   const double elemPerS =
       s.seconds > 0 ? s.elementUpdates / s.seconds : 0.0;
   const double flopPerByte =
       s.bytesEstimate > 0 ? static_cast<double>(s.flops) / s.bytesEstimate
                           : 0.0;
-  // "seconds" is the compatibility alias of "busy_seconds" (sum of
-  // per-thread busy time); see the header comment.
+  // PhaseStats::seconds is the sum of per-thread busy time; see the
+  // header comment.
   std::snprintf(buf, sizeof buf,
-                "\"seconds\":%s,\"busy_seconds\":%s,\"invocations\":%" PRIu64
+                "\"busy_seconds\":%s,\"invocations\":%" PRIu64
                 ",\"flops\":%" PRIu64 ",\"element_updates\":%" PRIu64
                 ",\"bytes_estimate\":%" PRIu64
                 ",\"gflops\":%s,\"elements_per_second\":%s,"
                 "\"flop_per_byte\":%s",
-                jsonNumber(s.seconds).c_str(), jsonNumber(s.seconds).c_str(),
-                s.invocations, s.flops, s.elementUpdates, s.bytesEstimate,
-                jsonNumber(gflops).c_str(), jsonNumber(elemPerS).c_str(),
-                jsonNumber(flopPerByte).c_str());
+                jsonNumber(s.seconds).c_str(), s.invocations, s.flops,
+                s.elementUpdates, s.bytesEstimate, jsonNumber(gflops).c_str(),
+                jsonNumber(elemPerS).c_str(), jsonNumber(flopPerByte).c_str());
   out += buf;
-  if (s.hwSamples > 0) {
-    const double ipc =
-        s.cycles > 0 ? static_cast<double>(s.instructions) / s.cycles : 0.0;
-    const double missRate =
-        s.llcRefs > 0 ? static_cast<double>(s.llcMisses) / s.llcRefs : 0.0;
-    const double stallFrac =
-        s.cycles > 0 ? static_cast<double>(s.stalledBackendCycles) / s.cycles
-                     : 0.0;
-    std::snprintf(buf, sizeof buf,
-                  ",\"cycles\":%" PRIu64 ",\"instructions\":%" PRIu64
-                  ",\"llc_refs\":%" PRIu64 ",\"llc_misses\":%" PRIu64
-                  ",\"stalled_backend_cycles\":%" PRIu64
-                  ",\"ipc\":%s,\"llc_miss_rate\":%s,"
-                  "\"stalled_backend_frac\":%s",
-                  s.cycles, s.instructions, s.llcRefs, s.llcMisses,
-                  s.stalledBackendCycles, jsonNumber(ipc).c_str(),
-                  jsonNumber(missRate).c_str(), jsonNumber(stallFrac).c_str());
-    out += buf;
-  }
-}
-
-/// Phase-level extras that need the wall bracket: wall_seconds always,
-/// plus the LLC-miss-derived DRAM bandwidth when counters are live.
-void appendWallStats(std::string& out, const PhaseStats& s, double wall) {
-  out += ",\"wall_seconds\":" + jsonNumber(wall);
-  if (s.hwSamples > 0) {
-    // 64-byte cache lines; divide by wall (not busy) -- bandwidth is a
-    // machine-level rate, concurrent misses across threads share it.
-    const double denom = wall > 0 ? wall : s.seconds;
-    const double gbs =
-        denom > 0 ? static_cast<double>(s.llcMisses) * 64.0 / denom / 1e9
-                  : 0.0;
-    out += ",\"gbytes_per_s\":" + jsonNumber(gbs);
-  }
 }
 
 }  // namespace
@@ -408,17 +289,13 @@ std::string perfReportJson(const PerfMonitor& m, const PerfReportMeta& meta) {
                 jsonNumber(meta.simulatedSeconds).c_str());
   out += buf;
 
-  out += "  \"hw_counters\": ";
-  out += (m.hwCounterMask() != 0) ? "true" : "false";
-  out += ",\n";
-
   PhaseStats grand;
   for (int p = 0; p < kNumPhases; ++p) {
     grand += m.total(static_cast<Phase>(p));
   }
   out += "  \"total\": {";
   appendStats(out, grand);
-  appendWallStats(out, grand, m.totalWallSeconds());
+  out += ",\"wall_seconds\":" + jsonNumber(m.totalWallSeconds());
   out += "},\n";
 
   out += "  \"phases\": [\n";
@@ -428,7 +305,7 @@ std::string perfReportJson(const PerfMonitor& m, const PerfReportMeta& meta) {
     out += jsonString(phaseName(phase));
     out += ", ";
     appendStats(out, m.total(phase));
-    appendWallStats(out, m.total(phase), m.wallSeconds(phase));
+    out += ",\"wall_seconds\":" + jsonNumber(m.wallSeconds(phase));
     out += ", \"per_cluster\": [";
     const auto& perCluster = m.perCluster(phase);
     for (std::size_t c = 0; c < perCluster.size(); ++c) {

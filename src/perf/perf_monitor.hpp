@@ -16,20 +16,7 @@
 //    rate; divide by the report's `threads` for a per-thread view;
 //  * `wall_seconds`: the parallel-region bracket -- thread 0 times each
 //    wave from its start through the closing barrier (so imbalance wait
-//    is included); end-to-end rates and bandwidths divide by this.
-// `seconds` is kept as a compatibility alias of `busy_seconds`.
-//
-// When the host allows it, each wave also snapshots the thread's
-// hardware counter group (perf/hw_counters.hpp: cycles, instructions,
-// LLC refs/misses, stalled backend cycles) and the deltas accumulate
-// into PhaseStats next to the clock/FLOP reads.  Counters degrade
-// gracefully: on EACCES/ENOSYS (sandboxed CI, non-Linux) the fields are
-// simply absent from the report and `"hw_counters"` is false.
-//
-// The legacy beginPhase/endPhase bracket is kept for serial callers
-// (tests, tools); it asserts (debug builds) that it is NOT called inside
-// a parallel region, where its single t0_/flops0_ members would be
-// silently overwritten by concurrent callers.
+//    is included); end-to-end rates divide by this.
 //
 // Outputs:
 //  * perfReportJson(): the BENCH_kernels.json schema ("tsg-perf-1") with
@@ -37,7 +24,8 @@
 //    estimated FLOP/byte), the per-cluster split, the LTS histogram, and
 //    aggregate named-span totals;
 //  * writeChromeTrace(): an about://tracing / Perfetto-compatible event
-//    file of every phase region (bounded buffer, oldest-first).
+//    file of every phase region and named event (one event cap over
+//    both; the oldest events are kept).
 //
 // Beyond the three kernel phases, orchestration-level work (checkpoint
 // save/restore, VTK/CSV output, health scans, telemetry sampling) is
@@ -56,7 +44,6 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "perf/hw_counters.hpp"
 
 namespace tsg {
 
@@ -75,14 +62,6 @@ struct PhaseStats {
   std::uint64_t flops = 0;
   std::uint64_t elementUpdates = 0;
   std::uint64_t bytesEstimate = 0;  // analytic main-memory traffic model
-  // Hardware-counter deltas (perf/hw_counters.hpp); all zero with
-  // hwSamples == 0 when counters are unavailable (degraded mode).
-  std::uint64_t cycles = 0;
-  std::uint64_t instructions = 0;
-  std::uint64_t llcRefs = 0;
-  std::uint64_t llcMisses = 0;
-  std::uint64_t stalledBackendCycles = 0;
-  std::uint64_t hwSamples = 0;  // waves that produced a valid delta
 
   PhaseStats& operator+=(const PhaseStats& o) {
     seconds += o.seconds;
@@ -90,12 +69,6 @@ struct PhaseStats {
     flops += o.flops;
     elementUpdates += o.elementUpdates;
     bytesEstimate += o.bytesEstimate;
-    cycles += o.cycles;
-    instructions += o.instructions;
-    llcRefs += o.llcRefs;
-    llcMisses += o.llcMisses;
-    stalledBackendCycles += o.stalledBackendCycles;
-    hwSamples += o.hwSamples;
     return *this;
   }
 };
@@ -104,8 +77,8 @@ class PerfMonitor {
  public:
   PerfMonitor();
 
-  /// One phase region on the per-cluster trace rows; `thread` >= 0 tags
-  /// which worker produced it (legacy serial path records -1).
+  /// One phase region on the per-cluster trace rows; `thread` tags the
+  /// worker that produced it (set by PerfThreadRecorder::flush).
   struct TraceEvent {
     std::int8_t phase;
     int cluster;
@@ -113,24 +86,14 @@ class PerfMonitor {
     double beginUs, durUs;
   };
 
-  /// Bracket one phase region.  Must be called from the orchestrating
-  /// thread (outside parallel regions -- asserted in debug builds, since
-  /// the single in-flight t0_/flops0_ pair would race); regions do not
-  /// nest.  Inside parallel regions use PerfThreadRecorder instead.
-  void beginPhase(Phase p, int cluster);
-  void endPhase(Phase p, int cluster, std::uint64_t elements,
-                std::uint64_t bytesEstimate);
-
   /// Merge one worker thread's accumulated per-(phase, cluster) stats and
   /// trace events (mutex-guarded; any thread).  `stats[p]` is indexed by
   /// cluster; short vectors are fine.  `wall[p]` is that thread's
   /// parallel-region bracket per phase (nonzero only for the wall-owner
-  /// thread); `hwMask` is the thread's live HwCounterBit mask (0 when it
-  /// captured no hardware counters).
+  /// thread).
   void mergeThread(const std::vector<PhaseStats> (&stats)[kNumPhases],
                    const std::vector<TraceEvent>& trace,
-                   const double (&wall)[kNumPhases] = kZeroWall,
-                   unsigned hwMask = 0);
+                   const double (&wall)[kNumPhases]);
 
   /// Aggregate per-name wall time and count of one named span.
   struct SpanStats {
@@ -141,7 +104,7 @@ class PerfMonitor {
   /// Record one named orchestration span [t0, t1] (clockSeconds values).
   /// Aggregated into spanStats() always; appended to the trace buffer
   /// when tracing is on.  `name` must outlive the monitor (use string
-  /// literals).  Orchestrating thread only, like beginPhase/endPhase;
+  /// literals).  Orchestrating thread only (outside parallel regions);
   /// spans may nest (checkpoint inside a telemetry flush).
   void recordSpan(const char* name, double t0, double t1);
   /// Record a named instant event carrying a count (e.g. gravity-eta
@@ -153,7 +116,8 @@ class PerfMonitor {
 
   const std::map<std::string, SpanStats>& spanStats() const { return spans_; }
 
-  /// Keep a bounded chrome-trace event buffer (default off).
+  /// Keep a bounded chrome-trace event buffer (default off): phase
+  /// regions and named events together hold at most `maxEvents`.
   void enableTrace(std::size_t maxEvents = 1u << 20);
   bool traceEnabled() const { return traceEnabled_; }
   /// Trace timestamp origin (construction time, clockSeconds() domain).
@@ -166,26 +130,15 @@ class PerfMonitor {
   /// Sum of all phase busy times (kernel time, excludes I/O etc.).
   double totalSeconds() const;
   /// Parallel-region bracket of one phase (wave start through closing
-  /// barrier, accumulated by the wall-owner thread).  The legacy serial
-  /// beginPhase/endPhase bracket counts towards both busy and wall.
+  /// barrier, accumulated by the wall-owner thread).
   double wallSeconds(Phase p) const { return wall_[static_cast<int>(p)]; }
   /// Sum of all phase wall brackets.
   double totalWallSeconds() const;
-
-  /// Ask recorders to capture hardware counters where the host allows it
-  /// (perf/hw_counters.hpp); degraded threads merge without them.
-  void enableHwCounters() { hwRequested_ = true; }
-  bool hwCountersRequested() const { return hwRequested_; }
-  /// Union of the merged threads' live counter masks (0: fully degraded).
-  unsigned hwCounterMask() const { return hwMask_; }
 
   void reset();
 
   /// Chrome trace-event JSON ({"traceEvents": [...]}) written atomically.
   void writeChromeTrace(const std::string& path) const;
-
-  /// All-zero default for mergeThread's wall parameter (legacy callers).
-  static const double kZeroWall[kNumPhases];
 
  private:
   struct NamedEvent {
@@ -196,22 +149,18 @@ class PerfMonitor {
 
   std::vector<PhaseStats> stats_[kNumPhases];  // indexed by cluster
   double wall_[kNumPhases] = {0, 0, 0};        // parallel-region brackets
-  bool hwRequested_ = false;
-  unsigned hwMask_ = 0;
   std::mutex mergeMutex_;                      // guards mergeThread
   std::map<std::string, SpanStats> spans_;
   bool traceEnabled_ = false;
   std::size_t maxTraceEvents_ = 0;
   std::vector<TraceEvent> trace_;
   std::vector<NamedEvent> namedTrace_;
-  bool traceSaturated_ = false;
-
-  // In-flight region (phases are serial; no nesting).
-  double t0_ = 0;
-  std::uint64_t flops0_ = 0;
   double epoch_ = 0;  // construction time, trace timestamp origin
 
   void ensureCluster(int phase, int cluster);
+  /// Whether one more event fits: tracing is on and trace_ plus
+  /// namedTrace_ hold fewer than maxTraceEvents_ (the head is kept).
+  bool traceHasRoom() const;
 };
 
 /// Per-thread phase accumulator for the persistent parallel region: one
@@ -225,9 +174,7 @@ class PerfThreadRecorder {
  public:
   /// `wallOwner` names the one thread per parallel region (tid 0) whose
   /// waveBegin()/waveEnd() brackets time the whole wave including the
-  /// closing barrier; everyone else's wave calls are no-ops.  When the
-  /// monitor requested hardware counters and this thread's group opened
-  /// (perf/hw_counters.hpp), begin()/end() also snapshot the counters.
+  /// closing barrier; everyone else's wave calls are no-ops.
   PerfThreadRecorder(PerfMonitor* monitor, int numClusters,
                      bool wallOwner = false);
 
@@ -248,12 +195,9 @@ class PerfThreadRecorder {
   double wall_[kNumPhases] = {0, 0, 0};
   bool captureTrace_ = false;
   bool wallOwner_ = false;
-  bool captureHw_ = false;
-  unsigned hwMask_ = 0;
   double t0_ = 0;
   double wave0_ = 0;
   std::uint64_t flops0_ = 0;
-  HwCounterSample hw0_;
 };
 
 /// RAII named span: times its scope into `monitor` (null-safe -- a null

@@ -9,7 +9,6 @@
 #include "common/errors.hpp"
 #include "io/atomic_file.hpp"
 #include "io/vtk_writer.hpp"
-#include "perf/model_validation.hpp"
 #include "scenario/spec.hpp"
 #include "solver/simulation_assets.hpp"
 #include "solver/diagnostics.hpp"
@@ -264,15 +263,8 @@ RunResult runPipeline(const std::string& configPath, const ConfigFile& cfg,
     sim->setScenarioHash(scenarioHash);
   }
 
-  if (!o.perfReportPath.empty() || !o.tracePath.empty() ||
-      !o.modelCheckPath.empty()) {
+  if (!o.perfReportPath.empty() || !o.tracePath.empty()) {
     sim->enablePerfMonitor(!o.tracePath.empty());
-  }
-  // The drift report normalises per macro cycle; count them directly so
-  // a resumed run only counts the cycles this monitor actually measured.
-  std::uint64_t macroCycles = 0;
-  if (sim->perfMonitor()) {
-    sim->onMacroStep([&macroCycles](real) { ++macroCycles; });
   }
   const std::string resume =
       hooks.resumeOverride.empty() ? o.resume : hooks.resumeOverride;
@@ -400,22 +392,6 @@ RunResult runPipeline(const std::string& configPath, const ConfigFile& cfg,
       perf->writeChromeTrace(o.tracePath);
       logInfo("trace", "wrote " + o.tracePath,
               {logStr("path", o.tracePath)});
-    }
-    if (!o.modelCheckPath.empty()) {
-      const PerfReportMeta pm = sim->perfReportMeta(scenarioName);
-      const HostProbe host = probeHost(pm.threads);
-      ModelCheckMeta mm;
-      mm.scenario = scenarioName;
-      mm.backend = pm.backend;
-      mm.threads = pm.threads;
-      mm.macroCycles = macroCycles;
-      const SimulationAssets& assets = *sim->assets();
-      writeModelCheckReport(o.modelCheckPath, assets.mesh, assets.clusters,
-                            assets.rm, *perf, host, mm);
-      logInfo("model_check", "wrote " + o.modelCheckPath,
-              {logStr("path", o.modelCheckPath),
-               logNum("peak_gflops", host.peakGflops),
-               logNum("stream_gbytes_per_s", host.streamGbytesPerS)});
     }
   }
 

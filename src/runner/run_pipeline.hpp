@@ -57,7 +57,6 @@ struct RunOptions {
   std::string perfReportPath;  // empty = no report
   std::string tracePath;       // empty = no chrome trace
   std::string statusPath;      // empty = no status heartbeat
-  std::string modelCheckPath;  // empty = no tsg-modelcheck-1 report
 };
 
 /// Read and validate all options.  Throws ConfigError on any invalid

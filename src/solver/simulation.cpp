@@ -215,9 +215,6 @@ const ClusterBatchLayout& Simulation::batchLayout() const {
 PerfMonitor& Simulation::enablePerfMonitor(bool withTrace) {
   if (!perf_) {
     perf_ = std::make_unique<PerfMonitor>();
-    // Hardware counters ride along wherever the host permits them;
-    // threads whose perf_event_open is denied merge without them.
-    perf_->enableHwCounters();
   }
   if (withTrace) {
     perf_->enableTrace();

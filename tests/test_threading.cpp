@@ -3,8 +3,8 @@
 //    exhaustive per-thread ranges (and the fault faces likewise),
 //  * the per-cluster fault-face id lists match a brute-force scan of the
 //    fault (the rupture wave iterates exactly these, never ALL faces),
-//  * PerfThreadRecorder / PerfMonitor::mergeThread accumulate per-thread
-//    stats into the same totals the serial bracket would produce,
+//  * PerfThreadRecorder / PerfMonitor::mergeThread sum per-thread stats
+//    per (phase, cluster), independent of merge order,
 //  * runtimeWorkerCpus implements the paper's Sec. 5.2 placement policy
 //    (sacrificed core when there is room, wrap-around when oversubscribed),
 //  * the perf report records the worker thread count,
@@ -240,7 +240,7 @@ TEST(Threading, AssetOperandsBitwiseAcrossThreadCounts) {
   }
 }
 
-TEST(Threading, PerfThreadRecorderMergesLikeTheSerialBracket) {
+TEST(Threading, PerfThreadRecorderMergesPerClusterSums) {
   PerfMonitor m;
   // Two "threads" each record waves over two clusters; totals must be
   // the element-wise sum regardless of merge order.

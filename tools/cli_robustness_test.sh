@@ -19,11 +19,13 @@ fail() {
   exit 1
 }
 
+# expect_exit <code> <label> <cfg> [cli options...]
 expect_exit() {
   local expected=$1
   local label=$2
   local cfg=$3
-  "$CLI" "$cfg" >"$label.out" 2>"$label.err"
+  shift 3
+  "$CLI" "$@" "$cfg" >"$label.out" 2>"$label.err"
   local code=$?
   if [ "$code" -ne "$expected" ]; then
     cat "$label.err" >&2
@@ -54,6 +56,12 @@ grep -q "preset" scen.err || fail "scen: message does not point at presets"
 # No scenario source at all is an error, not a silent zero-element run.
 printf 'end_time = 1\n' > nosource.cfg
 expect_exit 2 nosource nosource.cfg
+
+# The roofline/drift report was removed; its flag is an unknown option.
+printf 'preset = %s\nend_time = 0.1\nvtk_output = false\n' "$QS" > removed_flag.cfg
+expect_exit 2 removed_flag removed_flag.cfg --model-check
+grep -q "unknown option" removed_flag.err \
+  || fail "removed_flag: no 'unknown option' diagnostic"
 
 # --- exit 4: I/O failures ---------------------------------------------------
 printf 'preset = %s\nend_time = 1\nresume = missing.tsgck\n' "$QS" > noresume.cfg

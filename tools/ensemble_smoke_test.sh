@@ -2,11 +2,10 @@
 # Ensemble engine smoke, end to end through both drivers:
 #  1. expand and run a 4-member quickstart sweep (kernel_path x
 #     batch_size -- non-structural axes, so all members must share ONE
-#     SimulationAssets build), with the fleet status roll-up, the fleet
-#     perf roll-up, and per-member model-check reports on,
-#  2. assert the tsg-hazard-1 surface, the tsg-status-1 fleet file, the
-#     tsg-fleetperf-1 roll-up (+ member tsg-perf-1 drill-down), and a
-#     member's tsg-modelcheck-1 report,
+#     SimulationAssets build), with the fleet status and fleet perf
+#     roll-ups on,
+#  2. assert the tsg-hazard-1 surface, the tsg-status-1 fleet file, and
+#     the tsg-fleetperf-1 roll-up (+ member tsg-perf-1 drill-down),
 #  3. re-run one expanded member config through the standalone CLI and
 #     assert its receiver CSVs are byte-identical to the ensemble's,
 #  4. SIGKILL a second ensemble mid-run, re-launch it (auto-resume from
@@ -53,10 +52,10 @@ EOF
 }
 
 # ---- 1. clean 4-member sweep ----------------------------------------
-# --fleet-perf + --model-check: every member runs with the perf monitor
-# (and a roofline/drift report) on top of the physics being validated.
+# --fleet-perf: every member runs with the perf monitor on top of the
+# physics being validated.
 sweep_cfg ens > sweep.cfg
-"$ENSEMBLE" --status --fleet-perf --model-check sweep.cfg > ens.out 2>&1 \
+"$ENSEMBLE" --status --fleet-perf sweep.cfg > ens.out 2>&1 \
   || { cat ens.out >&2; fail "ensemble run failed"; }
 
 # ---- 2. hazard surface + fleet status schemas -----------------------
@@ -112,17 +111,6 @@ for m in fp["members"]:
     assert rep["schema"] == "tsg-perf-1", m["perf_report"]
     assert rep["total"]["busy_seconds"] > 0, m["perf_report"]
     assert "wall_seconds" in rep["total"], m["perf_report"]
-    assert "hw_counters" in rep, m["perf_report"]
-
-# Per-member model check: roofline + drift present whatever the
-# counter availability on this runner.
-mc = json.load(open("ens_member_0_modelcheck.json"))
-assert mc["schema"] == "tsg-modelcheck-1", mc["schema"]
-assert mc["machine"]["peak_gflops"] > 0, mc["machine"]
-assert mc["machine"]["stream_gbytes_per_s"] > 0, mc["machine"]
-assert mc["roofline"], "no roofline phases"
-assert mc["drift"]["measured_over_predicted"] > 0, mc["drift"]
-assert mc["drift"]["per_cluster"], mc["drift"]
 print("hazard + fleet status + fleet perf OK: 4/4 members, "
       "1 asset build, 3 hits")
 EOF

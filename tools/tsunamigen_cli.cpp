@@ -8,8 +8,8 @@
 //
 // Usage:
 //   tsunamigen_cli [--perf-report[=path]] [--trace[=path]]
-//                  [--model-check[=path]] [--status[=path]]
-//                  [--log-level=<lvl>] [--log-json] <config-file>
+//                  [--status[=path]] [--log-level=<lvl>] [--log-json]
+//                  <config-file>
 //   tsunamigen_cli --example-config     (prints a template and exits)
 //
 // --perf-report writes the per-phase x per-cluster kernel performance
@@ -17,11 +17,6 @@
 // --trace additionally writes a chrome://tracing-compatible event file
 // (default <output_prefix>_trace.json) covering kernel phases plus
 // checkpoint, output-I/O, health-scan, and telemetry spans.
-// --model-check probes the host (peak GF/s estimate, stream-triad
-// bandwidth), classifies each measured phase against the host roofline,
-// and diffs the measured macro-cycle wall against the perfmodel
-// prediction for the same mesh/partition (schema "tsg-modelcheck-1",
-// default <output_prefix>_modelcheck.json).
 // --status rewrites a live heartbeat JSON (schema "tsg-status-1",
 // default <output_prefix>_status.json) atomically every macro cycle;
 // the `metrics_interval` config key enables the physics time series
@@ -81,8 +76,7 @@ pin_threads         = false        # pin workers to cores (paper Sec. 5.2 placem
 )";
 
 int run(const std::string& configPath, const std::string& perfReportRequest,
-        const std::string& traceRequest, const std::string& statusRequest,
-        const std::string& modelCheckRequest) {
+        const std::string& traceRequest, const std::string& statusRequest) {
   const ConfigFile cfg = ConfigFile::load(configPath);
   RunOptions o = readRunOptions(cfg);
   if (!perfReportRequest.empty()) {
@@ -97,11 +91,6 @@ int run(const std::string& configPath, const std::string& perfReportRequest,
     o.statusPath =
         statusRequest == "*" ? o.prefix + "_status.json" : statusRequest;
   }
-  if (!modelCheckRequest.empty()) {
-    o.modelCheckPath = modelCheckRequest == "*"
-                           ? o.prefix + "_modelcheck.json"
-                           : modelCheckRequest;
-  }
   runPipeline(configPath, cfg, o);
   return 0;
 }
@@ -110,7 +99,6 @@ int run(const std::string& configPath, const std::string& perfReportRequest,
 
 int main(int argc, char** argv) {
   std::string configPath, perfReportRequest, traceRequest, statusRequest;
-  std::string modelCheckRequest;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--example-config") {
@@ -124,10 +112,6 @@ int main(int argc, char** argv) {
       traceRequest = "*";  // resolved to <output_prefix>_trace.json
     } else if (arg.rfind("--trace=", 0) == 0) {
       traceRequest = arg.substr(std::strlen("--trace="));
-    } else if (arg == "--model-check") {
-      modelCheckRequest = "*";  // resolved to <output_prefix>_modelcheck.json
-    } else if (arg.rfind("--model-check=", 0) == 0) {
-      modelCheckRequest = arg.substr(std::strlen("--model-check="));
     } else if (arg == "--status") {
       statusRequest = "*";  // resolved to <output_prefix>_status.json
     } else if (arg.rfind("--status=", 0) == 0) {
@@ -158,15 +142,13 @@ int main(int argc, char** argv) {
   if (configPath.empty()) {
     std::fprintf(stderr,
                  "usage: %s [--perf-report[=path]] [--trace[=path]] "
-                 "[--model-check[=path]] [--status[=path]] "
-                 "[--log-level=<lvl>] [--log-json] "
+                 "[--status[=path]] [--log-level=<lvl>] [--log-json] "
                  "<config-file>\n       %s --example-config\n",
                  argv[0], argv[0]);
     return 2;
   }
   try {
-    return run(configPath, perfReportRequest, traceRequest, statusRequest,
-               modelCheckRequest);
+    return run(configPath, perfReportRequest, traceRequest, statusRequest);
   } catch (const ConfigError& e) {
     logError("config_error", std::string("configuration error: ") + e.what());
     return 2;

@@ -4,8 +4,8 @@
 //
 // Usage:
 //   tsunamigen_ensemble [--workers=N] [--status[=path]]
-//                       [--fleet-perf[=path]] [--model-check]
-//                       [--no-resume] [--no-share-assets] [--dry-run]
+//                       [--fleet-perf[=path]] [--no-resume]
+//                       [--no-share-assets] [--dry-run]
 //                       [--log-level=<lvl>] [--log-json] <sweep-config>
 //   tsunamigen_ensemble --example-config   (prints a template and exits)
 //
@@ -20,8 +20,7 @@
 // --fleet-perf enables each member's perf monitor and aggregates the
 // per-phase measurements into a "tsg-fleetperf-1" roll-up (default
 // <prefix>_fleet_perf.json; per-member tsg-perf-1 files stay on disk
-// for drill-down); --model-check additionally writes each member's
-// "tsg-modelcheck-1" host-roofline / perfmodel-drift report.
+// for drill-down).
 //
 // Every member config is a self-contained standalone run:
 // `tsunamigen_cli <prefix>_member_<k>.cfg` reproduces the member's
@@ -75,7 +74,7 @@ values = true, false
 
 int run(const std::string& configPath, int workersOverride,
         const std::string& statusRequest, const std::string& fleetPerfRequest,
-        bool modelCheck, bool autoResume, bool shareAssets, bool dryRun) {
+        bool autoResume, bool shareAssets, bool dryRun) {
   const ConfigFile cfg = ConfigFile::load(configPath);
   EnsemblePlan plan = expandSweep(cfg);
 
@@ -105,7 +104,6 @@ int run(const std::string& configPath, int workersOverride,
                              ? plan.prefix + "_fleet_perf.json"
                              : fleetPerfRequest;
   }
-  opts.modelCheck = modelCheck;
 
   const EnsembleResult result = runEnsemble(plan, opts);
 
@@ -132,7 +130,6 @@ int run(const std::string& configPath, int workersOverride,
 int main(int argc, char** argv) {
   std::string configPath, statusRequest, fleetPerfRequest;
   int workersOverride = 0;
-  bool modelCheck = false;
   bool autoResume = true;
   bool shareAssets = true;
   bool dryRun = false;
@@ -159,8 +156,6 @@ int main(int argc, char** argv) {
       fleetPerfRequest = "*";  // resolved to <prefix>_fleet_perf.json
     } else if (arg.rfind("--fleet-perf=", 0) == 0) {
       fleetPerfRequest = arg.substr(std::strlen("--fleet-perf="));
-    } else if (arg == "--model-check") {
-      modelCheck = true;
     } else if (arg == "--no-resume") {
       autoResume = false;
     } else if (arg == "--no-share-assets") {
@@ -195,7 +190,7 @@ int main(int argc, char** argv) {
   if (configPath.empty()) {
     std::fprintf(stderr,
                  "usage: %s [--workers=N] [--status[=path]] "
-                 "[--fleet-perf[=path]] [--model-check] [--no-resume] "
+                 "[--fleet-perf[=path]] [--no-resume] "
                  "[--no-share-assets] [--dry-run] [--log-level=<lvl>] "
                  "[--log-json] <sweep-config>\n       %s --example-config\n",
                  argv[0], argv[0]);
@@ -203,7 +198,7 @@ int main(int argc, char** argv) {
   }
   try {
     return run(configPath, workersOverride, statusRequest, fleetPerfRequest,
-               modelCheck, autoResume, shareAssets, dryRun);
+               autoResume, shareAssets, dryRun);
   } catch (const ConfigError& e) {
     logError("config_error", std::string("configuration error: ") + e.what());
     return 2;
