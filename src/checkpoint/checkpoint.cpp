@@ -4,8 +4,6 @@
 #include <cstring>
 
 #include "io/atomic_file.hpp"
-#include "perf/perf_monitor.hpp"
-#include "telemetry/metrics_registry.hpp"
 
 namespace tsg {
 
@@ -108,15 +106,6 @@ std::string BinaryReader::readString() {
 
 void writeCheckpointFile(const std::string& path, const CheckpointHeader& h,
                          const std::string& payload) {
-  // Handles cached once; updates are lock-free (see MetricsRegistry).
-  static Counter& saves =
-      MetricsRegistry::global().counter("checkpoint.saves", MetricUnit::kCount);
-  static Counter& bytes = MetricsRegistry::global().counter(
-      "checkpoint.bytes_written", MetricUnit::kBytes);
-  static Histogram& duration = MetricsRegistry::global().histogram(
-      "checkpoint.save_seconds", MetricUnit::kSeconds);
-  const double t0 = PerfMonitor::clockSeconds();
-
   BinaryWriter w;
   std::string file;
   file.append(kMagic, sizeof kMagic);
@@ -131,17 +120,10 @@ void writeCheckpointFile(const std::string& path, const CheckpointHeader& h,
   file += w.buffer();
   file += payload;
   atomicWriteFile(path, file);
-
-  saves.add(1);
-  bytes.add(file.size());
-  duration.observe(PerfMonitor::clockSeconds() - t0);
 }
 
 CheckpointHeader readCheckpointFile(const std::string& path,
                                     std::string& payload) {
-  static Counter& restores = MetricsRegistry::global().counter(
-      "checkpoint.restores", MetricUnit::kCount);
-  restores.add(1);
   std::string bytes;
   try {
     bytes = readFileBytes(path);

@@ -1,61 +1,15 @@
 #include "common/flops.hpp"
 
-#include <deque>
-#include <mutex>
-
 namespace tsg {
 
 namespace {
 
-struct Counter {
-  std::uint64_t value = 0;
-};
-
-std::mutex g_registryMutex;
-
-// The registry OWNS the counters (deque: stable element addresses) and is
-// heap-allocated without ever being destroyed.  Counters of threads that
-// have exited stay reachable through it, so aggregation keeps working and
-// LeakSanitizer sees owned memory rather than orphaned per-thread
-// allocations; skipping destruction keeps late countFlops() calls during
-// shutdown valid regardless of static destruction order.
-std::deque<Counter>& registry() {
-  static std::deque<Counter>* r = new std::deque<Counter>();
-  return *r;
-}
-
-Counter& threadCounter() {
-  thread_local Counter* counter = [] {
-    std::lock_guard<std::mutex> lock(g_registryMutex);
-    return &registry().emplace_back();
-  }();
-  return *counter;
-}
+thread_local std::uint64_t t_flops = 0;
 
 }  // namespace
 
-void countFlops(std::uint64_t n) { threadCounter().value += n; }
+void countFlops(std::uint64_t n) { t_flops += n; }
 
-std::uint64_t threadFlops() { return threadCounter().value; }
-
-std::uint64_t totalFlops() {
-  std::lock_guard<std::mutex> lock(g_registryMutex);
-  std::uint64_t sum = 0;
-  for (const Counter& c : registry()) {
-    sum += c.value;
-  }
-  return sum;
-}
-
-void resetFlops() {
-  std::lock_guard<std::mutex> lock(g_registryMutex);
-  for (Counter& c : registry()) {
-    c.value = 0;
-  }
-}
-
-FlopScope::FlopScope() : start_(totalFlops()) {}
-
-std::uint64_t FlopScope::flops() const { return totalFlops() - start_; }
+std::uint64_t threadFlops() { return t_flops; }
 
 }  // namespace tsg

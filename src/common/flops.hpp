@@ -4,8 +4,9 @@
 //
 // SeisSol reports sustained GFLOPS for its production runs (paper Secs. 5.1,
 // 6.2, 6.3).  We count the FLOPs of every GEMM issued by the element
-// kernels; the counters are thread-local and aggregated on demand, so
-// counting is cheap enough to stay enabled in production builds.
+// kernels into a plain thread-local counter, so counting is cheap enough to
+// stay enabled in production builds.  There is no process-wide total:
+// callers read deltas of threadFlops() around the work they measure.
 
 #include <cstdint>
 
@@ -14,26 +15,8 @@ namespace tsg {
 /// Add `n` floating point operations to this thread's counter.
 void countFlops(std::uint64_t n);
 
-/// Sum of all per-thread counters since the last reset.
-std::uint64_t totalFlops();
-
-/// The calling thread's own counter since the last reset.  Lock-free (the
-/// counter is only ever written by this thread), so it is safe inside
-/// parallel regions -- the per-thread perf accounting reads deltas of this
-/// where the orchestrating-thread path reads deltas of totalFlops().
+/// The calling thread's counter since the thread started.  Lock-free and
+/// only ever written by this thread, so it is safe inside parallel regions.
 std::uint64_t threadFlops();
-
-/// Reset all per-thread counters.
-void resetFlops();
-
-/// RAII scope that reports the FLOPs executed within its lifetime.
-class FlopScope {
- public:
-  FlopScope();
-  std::uint64_t flops() const;
-
- private:
-  std::uint64_t start_;
-};
 
 }  // namespace tsg

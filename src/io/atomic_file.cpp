@@ -7,17 +7,10 @@
 #include <sstream>
 
 #include "common/errors.hpp"
-#include "telemetry/metrics_registry.hpp"
 
 namespace tsg {
 
 void atomicWriteFile(const std::string& path, const std::string& content) {
-  static Counter& writes = MetricsRegistry::global().counter(
-      "io.atomic_writes", MetricUnit::kCount);
-  static Counter& bytes = MetricsRegistry::global().counter(
-      "io.bytes_written", MetricUnit::kBytes);
-  writes.add(1);
-  bytes.add(content.size());
   // Per-process temp name: concurrent writers of the same destination
   // cannot trample each other's staging file, and a stale .tmp left by a
   // killed process is simply overwritten by the next writer with that pid.

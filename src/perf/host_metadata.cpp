@@ -72,7 +72,6 @@ std::map<std::string, std::string> collectHostMetadata() {
   putEnv(out, "omp_num_threads", "OMP_NUM_THREADS");
   putEnv(out, "omp_proc_bind", "OMP_PROC_BIND");
   putEnv(out, "omp_places", "OMP_PLACES");
-  putEnv(out, "tsg_pin", "TSG_PIN");
   return out;
 }
 

@@ -17,7 +17,7 @@ namespace tsg {
 
 /// Best-effort host metadata: "nproc", "cpu_model", "scaling_governor",
 /// and the run environment ("omp_num_threads", "omp_proc_bind",
-/// "omp_places", "tsg_pin") -- env keys only when set.  Feed into
+/// "omp_places") -- env keys only when set.  Feed into
 /// PerfReportMeta::host.
 std::map<std::string, std::string> collectHostMetadata();
 

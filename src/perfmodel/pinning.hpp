@@ -42,7 +42,7 @@ int numaOfCpu(const NodeTopology& node, int cpu);
 // functions below apply the same placement ideas to whatever CPUs the
 // current process is actually allowed to run on, so the scheduler's
 // persistent parallel region can pin its workers (SolverConfig::pinThreads
-// / the CLI `pin_threads` key / TSG_PIN=1).
+// / the CLI `pin_threads` key).
 
 /// Logical CPUs this process may run on, in id order (Linux
 /// sched_getaffinity; falls back to 0..hardware_concurrency-1 elsewhere).

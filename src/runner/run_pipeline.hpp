@@ -108,8 +108,8 @@ struct RunResult {
   std::uint64_t assetHash = 0;
   std::uint64_t scenarioHash = 0;
   std::vector<ReceiverSummary> receivers;
-  /// Filled when the run had a perf monitor (perf report, trace, or
-  /// model check requested); empty otherwise.
+  /// Filled when the run had a perf monitor (perf report or trace
+  /// requested); empty otherwise.
   std::vector<RunPhasePerf> perfPhases;
 };
 

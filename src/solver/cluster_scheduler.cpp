@@ -2,11 +2,8 @@
 
 #include <omp.h>
 
-#include <cstdlib>
-
 #include "common/omp_sync.hpp"
 #include "perfmodel/pinning.hpp"
-#include "telemetry/metrics_registry.hpp"
 
 namespace tsg {
 
@@ -27,22 +24,12 @@ void ClusterScheduler::ensurePlan() {
   planFaultFaces_ = faultFaces;
 
   workerCpus_.clear();
-  const char* env = std::getenv("TSG_PIN");
-  const bool envPin = env && env[0] != '\0' && env[0] != '0';
-  if (s_.cfg->pinThreads || envPin) {
+  if (s_.cfg->pinThreads) {
     workerCpus_ = runtimeWorkerCpus(threads);
   }
-
-  static Gauge& imbalance =
-      MetricsRegistry::global().gauge("solver.thread_plan_imbalance");
-  imbalance.set(plan_.maxImbalance());
 }
 
 void ClusterScheduler::runMacroCycle(PerfMonitor* perf) {
-  static Counter& macroCycles = MetricsRegistry::global().counter(
-      "solver.macro_cycles", MetricUnit::kCount);
-  static Counter& updates = MetricsRegistry::global().counter(
-      "solver.element_updates", MetricUnit::kElements);
   ensurePlan();
 
   const ClusterLayout& clusters = *s_.clusters;
@@ -155,8 +142,6 @@ void ClusterScheduler::runMacroCycle(PerfMonitor* perf) {
   // runs ticksPerMacro / spanOf(c) correctors per cycle.
   elementUpdates_ +=
       static_cast<std::uint64_t>(clusters.updatesPerMacroCycleLts());
-  macroCycles.add(1);
-  updates.add(static_cast<std::uint64_t>(clusters.updatesPerMacroCycleLts()));
 }
 
 // Analytic main-memory traffic models (streamed arrays only; reference

@@ -9,7 +9,6 @@
 #include "io/atomic_file.hpp"
 #include "io/vtk_writer.hpp"
 #include "solver/diagnostics.hpp"
-#include "telemetry/metrics_registry.hpp"
 
 namespace tsg {
 
@@ -94,10 +93,6 @@ void HealthMonitor::attach(Simulation& sim) {
 }
 
 void HealthMonitor::check(const Simulation& sim) {
-  static Counter& scans =
-      MetricsRegistry::global().counter("health.scans", MetricUnit::kCount);
-  scans.add(1);
-
   HealthReport report;
   report.time = sim.time();
   report.tick = sim.tick();
@@ -164,9 +159,6 @@ void HealthMonitor::check(const Simulation& sim) {
 }
 
 void HealthMonitor::fail(const Simulation& sim, HealthReport report) {
-  static Counter& incidents =
-      MetricsRegistry::global().counter("health.incidents", MetricUnit::kCount);
-  incidents.add(1);
   std::string dumpNote;
   if (cfg_.writeFailureDump) {
     const std::string vtkPath = cfg_.outputPrefix + "_failure.vtk";

@@ -39,7 +39,7 @@ struct SolverConfig {
   // Pin the persistent parallel region's worker threads to cores
   // (perfmodel/pinning runtime policy, paper Sec. 5.2).  Off by default:
   // affinity is process-global state and embedders/MPI launchers often
-  // manage it themselves.  Set via the CLI `pin_threads` key or TSG_PIN=1.
+  // manage it themselves.  Set via the CLI `pin_threads` key.
   // Execution strategy only -- excluded from configHash() like
   // `deterministic`, and it never affects results (the ThreadPlan slicing
   // is bitwise-neutral; see solver/thread_plan.hpp).

@@ -10,7 +10,6 @@
 #include "kernels/reference_matrices.hpp"
 #include "solver/diagnostics.hpp"
 #include "solver/time_clusters.hpp"
-#include "telemetry/metrics_registry.hpp"
 
 namespace tsg {
 
@@ -107,6 +106,7 @@ void RunTelemetry::attach(Simulation& sim) {
 }
 
 void RunTelemetry::onMacro(Simulation& sim, real t) {
+  ++macroCycles_;
   window_.push_back({wallSeconds(), static_cast<double>(t),
                      sim.elementUpdates()});
   while (window_.size() > 16) {
@@ -257,7 +257,9 @@ std::string RunTelemetry::statusJson(const Simulation& sim,
   }
   out += ",\n  \"metrics\": ";
   out += hasSample_ ? physicsSampleJson(latest_) : std::string("null");
-  out += ",\n  \"counters\": " + MetricsRegistry::global().snapshotJson();
+  out += ",\n  \"counters\": {\"solver.macro_cycles\": " +
+         std::to_string(macroCycles_) +
+         ", \"checkpoint.saves\": " + std::to_string(checkpointSaves_) + "}";
   out += "\n}\n";
   return out;
 }
@@ -269,6 +271,7 @@ void RunTelemetry::writeStatus(Simulation& sim, const char* state) {
 void RunTelemetry::noteCheckpoint(const std::string& path, double simTime) {
   lastCheckpointPath_ = path;
   lastCheckpointTime_ = simTime;
+  ++checkpointSaves_;
 }
 
 void RunTelemetry::finish(Simulation& sim) {

@@ -17,8 +17,9 @@
 //  * the live status heartbeat (schema "tsg-status-1", default
 //    `<prefix>_status.json`): progress %, ETA from a sliding window of
 //    recent throughput, wall time, last checkpoint, the latest metrics
-//    sample, and a MetricsRegistry snapshot -- rewritten atomically
-//    every macro cycle, so `watch cat run_status.json` follows the run;
+//    sample, and this run's own counters (macro cycles seen, checkpoints
+//    noted) -- rewritten atomically every macro cycle, so
+//    `watch cat run_status.json` follows the run;
 //
 //  * chrome-trace enrichment when the PerfMonitor trace is on: spans for
 //    its own sampling/status work plus per-macro-cycle instant events
@@ -123,6 +124,10 @@ class RunTelemetry {
 
   std::string lastCheckpointPath_;
   double lastCheckpointTime_ = -1;
+
+  // The status "counters": onMacro and noteCheckpoint calls of this run.
+  std::uint64_t macroCycles_ = 0;
+  std::uint64_t checkpointSaves_ = 0;
 };
 
 }  // namespace tsg

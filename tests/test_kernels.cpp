@@ -1,6 +1,8 @@
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -212,13 +214,28 @@ TEST_P(AderKernels, TaylorIntegrationAndEvaluation) {
 INSTANTIATE_TEST_SUITE_P(Degrees, AderKernels, ::testing::Values(1, 2, 3, 4, 5));
 
 TEST(Flops, GemmCountsArithmetic) {
-  resetFlops();
   Matrix a(10, 20), b(20, 5), c(10, 5);
+  const std::uint64_t before = threadFlops();
   gemmAcc(a, b, c);
-  EXPECT_EQ(totalFlops(), 2ull * 10 * 20 * 5);
-  FlopScope scope;
+  EXPECT_EQ(threadFlops() - before, 2ull * 10 * 20 * 5);
   gemmAcc(a, b, c);
-  EXPECT_EQ(scope.flops(), 2ull * 10 * 20 * 5);
+  EXPECT_EQ(threadFlops() - before, 2ull * 2 * 10 * 20 * 5);
+}
+
+// The per-thread perf accounting reads threadFlops() deltas inside
+// parallel regions: work on one thread must not show up on another.
+TEST(Flops, CountsArePerThread) {
+  Matrix a(10, 20), b(20, 5), c(10, 5);
+  const std::uint64_t mainBefore = threadFlops();
+  std::uint64_t workerDelta = 0;
+  std::thread worker([&] {
+    const std::uint64_t before = threadFlops();
+    gemmAcc(a, b, c);
+    workerDelta = threadFlops() - before;
+  });
+  worker.join();
+  EXPECT_EQ(workerDelta, 2ull * 10 * 20 * 5);
+  EXPECT_EQ(threadFlops(), mainBefore);
 }
 
 TEST(Gemm, MatchesNaiveReference) {

@@ -1,6 +1,6 @@
-// Telemetry layer: MetricsRegistry semantics, the structured event log,
-// the "tsg-metrics-1" physics time series, the "tsg-status-1" heartbeat,
-// and the named-span/instant enrichment of the chrome trace.
+// Telemetry layer: the structured event log, the "tsg-metrics-1" physics
+// time series, the "tsg-status-1" heartbeat, and the named-span/instant
+// enrichment of the chrome trace.
 
 #include <cmath>
 #include <cstdio>
@@ -8,7 +8,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,7 +16,6 @@
 #include "perf/perf_monitor.hpp"
 #include "solver/simulation.hpp"
 #include "telemetry/logging.hpp"
-#include "telemetry/metrics_registry.hpp"
 #include "telemetry/run_telemetry.hpp"
 
 namespace tsg {
@@ -81,49 +79,6 @@ std::unique_ptr<Simulation> pulseSim() {
     return q;
   });
   return sim;
-}
-
-TEST(MetricsRegistry, CountersAccumulateAcrossThreads) {
-  MetricsRegistry reg;
-  Counter& c = reg.counter("test.hits", MetricUnit::kCount);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&c] {
-      for (int i = 0; i < 10000; ++i) {
-        c.add(1);
-      }
-    });
-  }
-  for (auto& t : threads) {
-    t.join();
-  }
-  EXPECT_EQ(c.value(), 40000u);
-  // Re-requesting the same name returns the same counter.
-  EXPECT_EQ(&reg.counter("test.hits", MetricUnit::kCount), &c);
-  EXPECT_EQ(reg.size(), 1u);
-}
-
-TEST(MetricsRegistry, HistogramStatsAndBuckets) {
-  MetricsRegistry reg;
-  Histogram& h = reg.histogram("test.lat", MetricUnit::kSeconds);
-  h.observe(0.5);
-  h.observe(1.5);
-  h.observe(2.0);
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_DOUBLE_EQ(h.sum(), 4.0);
-  EXPECT_DOUBLE_EQ(h.min(), 0.5);
-  EXPECT_DOUBLE_EQ(h.max(), 2.0);
-  const std::string json = reg.snapshotJson();
-  EXPECT_NE(json.find("\"test.lat\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"histogram\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"buckets\""), std::string::npos) << json;
-}
-
-TEST(MetricsRegistry, TypeAndUnitMismatchThrow) {
-  MetricsRegistry reg;
-  reg.counter("x", MetricUnit::kCount);
-  EXPECT_THROW(reg.gauge("x", MetricUnit::kCount), std::logic_error);
-  EXPECT_THROW(reg.counter("x", MetricUnit::kBytes), std::logic_error);
 }
 
 TEST(Logging, LevelFilteringAndFormats) {
@@ -220,8 +175,9 @@ TEST(Telemetry, CaptureInvariants) {
   EXPECT_TRUE(std::isfinite(s.energyTotal));
 }
 
-TEST(Telemetry, StatusHeartbeatFields) {
-  const std::string path = "telemetry_test_status.json";
+/// Run a fresh pulseSim for 3 macro cycles with a status heartbeat,
+/// note one checkpoint, finish, and return the final status document.
+std::string threeCycleStatus(const std::string& path) {
   std::remove(path.c_str());
   auto sim = pulseSim();
   TelemetryOptions to;
@@ -233,17 +189,35 @@ TEST(Telemetry, StatusHeartbeatFields) {
   sim->advanceTo(3 * sim->macroDt() - 1e-12);
   telemetry.noteCheckpoint("fake_ckpt_8.tsgck", sim->time());
   telemetry.finish(*sim);
-
   const std::string json = fileBytes(path);
+  std::remove(path.c_str());
+  return json;
+}
+
+TEST(Telemetry, StatusHeartbeatFields) {
+  const std::string json = threeCycleStatus("telemetry_test_status.json");
   EXPECT_NE(json.find("\"schema\": \"tsg-status-1\""), std::string::npos)
       << json;
   EXPECT_NE(json.find("\"state\": \"done\""), std::string::npos);
   EXPECT_NE(json.find("\"progress_percent\": 100"), std::string::npos) << json;
   EXPECT_NE(json.find("\"eta_seconds\": 0"), std::string::npos) << json;
   EXPECT_NE(json.find("fake_ckpt_8.tsgck"), std::string::npos);
-  EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("solver.macro_cycles"), std::string::npos) << json;
-  std::remove(path.c_str());
+  EXPECT_NE(json.find("\"solver.macro_cycles\": 3"), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"checkpoint.saves\": 1"), std::string::npos) << json;
+}
+
+// Two runs in one process (as ensemble members are): each status counts
+// its own macro cycles and checkpoints, never the process's totals.
+TEST(Telemetry, StatusCountersArePerRun) {
+  for (int run = 0; run < 2; ++run) {
+    const std::string json = threeCycleStatus(
+        "telemetry_test_status_run" + std::to_string(run) + ".json");
+    EXPECT_NE(json.find("\"solver.macro_cycles\": 3"), std::string::npos)
+        << "run " << run << ": " << json;
+    EXPECT_NE(json.find("\"checkpoint.saves\": 1"), std::string::npos)
+        << "run " << run << ": " << json;
+  }
 }
 
 TEST(Telemetry, TraceContainsCheckpointAndIoSpans) {

@@ -4,7 +4,8 @@
 #     batch_size -- non-structural axes, so all members must share ONE
 #     SimulationAssets build), with the fleet status and fleet perf
 #     roll-ups on,
-#  2. assert the tsg-hazard-1 surface, the tsg-status-1 fleet file, and
+#  2. assert the tsg-hazard-1 surface, the tsg-status-1 fleet file, the
+#     members' own status counters (per run, not fleet totals), and
 #     the tsg-fleetperf-1 roll-up (+ member tsg-perf-1 drill-down),
 #  3. re-run one expanded member config through the standalone CLI and
 #     assert its receiver CSVs are byte-identical to the ensemble's,
@@ -87,6 +88,14 @@ assert s["schema"] == "tsg-status-1", s["schema"]
 assert s["state"] == "done" and s["members_done"] == 4, s
 assert len(s["members"]) == 4
 assert s["fleet_perf"] == "ens_fleet_perf.json", s.get("fleet_perf")
+
+# Each member's heartbeat counts that member alone: 42 macro cycles and
+# 4 checkpoints (end_time 0.4, checkpoint_interval 0.1), whatever the
+# other members sharing the process did.
+for k in range(4):
+    c = json.load(open(f"ens_member_{k}_status.json"))["counters"]
+    assert c["solver.macro_cycles"] == 42, (k, c)
+    assert c["checkpoint.saves"] == 4, (k, c)
 
 # Fleet perf roll-up: quantiles over all 4 members' phase stats, both
 # time bases, and the asset-cache economics.
