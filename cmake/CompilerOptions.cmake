@@ -32,6 +32,21 @@ if(CMAKE_CXX_COMPILER_ID MATCHES "GNU|Clang")
   add_compile_options(-ffp-contract=off)
 endif()
 
+# AVX upper state across calls: with IPA register allocation, GCC (12.2
+# at least) knows that a TU-local callee such as `matVec9` preserves some
+# vector registers, so its vzeroupper pass emits no `vzeroupper` before
+# that call.  It still assumes the upper state is clean once the call
+# returns, so the libm or friction call that follows gets none either.
+# SSE-encoded glibc code (`asinh`, `hypot`) then runs with the upper
+# halves dirty after a 512-bit store and pays a transition penalty on
+# every instruction: the rate-and-state solve ran about 10x slower.
+# Without IPA-RA every call clobbers all vector registers and gets its
+# `vzeroupper`.  Register allocation only: results are bitwise
+# identical.  tools/check_avx_transitions.py guards the library.
+if(CMAKE_CXX_COMPILER_ID STREQUAL "GNU")
+  add_compile_options(-fno-ipa-ra)
+endif()
+
 if(TSG_NATIVE_ARCH)
   include(CheckCXXCompilerFlag)
   check_cxx_compiler_flag(-march=native TSG_HAS_MARCH_NATIVE)

@@ -61,6 +61,8 @@ std::string scalingGovernor() {
 std::map<std::string, std::string> collectHostMetadata() {
   std::map<std::string, std::string> out;
   out["nproc"] = std::to_string(std::thread::hardware_concurrency());
+  // The compiler that built this library: which codegen was measured.
+  out["compiler"] = __VERSION__;
   const std::string model = cpuModelString();
   if (!model.empty()) {
     out["cpu_model"] = model;

@@ -9,12 +9,6 @@ real RateStateFastVWLaw::frictionCoefficient(real v, real psi) const {
   return a * std::asinh(v / (2.0 * v0) * std::exp(psi / a));
 }
 
-real RateStateFastVWLaw::frictionCoefficientDV(real v, real psi) const {
-  const real e = std::exp(psi / a);
-  const real x = v / (2.0 * v0) * e;
-  return a * e / (2.0 * v0 * std::sqrt(1.0 + x * x));
-}
-
 real RateStateFastVWLaw::steadyStateFriction(real v) const {
   if (v <= 0) {
     return f0;
@@ -73,12 +67,16 @@ void solveFrictionRs(const RateStateFastVWLaw& law, real psi, real tauLock,
     v = tauLock / etaS;
     return;
   }
-  // g(V) = tauLock - etaS V - sn f(V, psi) = 0.  g is strictly decreasing;
-  // start from the previous rate or a small positive value.
+  // g(V) = tauLock - etaS V - sn f(V, psi) = 0, with
+  // f = a asinh(x), x = V/(2 v0) e^{psi/a}, df/dV = a e^{psi/a} / (2 v0
+  // sqrt(1 + x^2)).  g is strictly decreasing; start from 1e-9.
+  const real e = std::exp(psi / law.a);
   real vi = 1e-9;
   for (int it = 0; it < 60; ++it) {
-    const real g = tauLock - etaS * vi - sn * law.frictionCoefficient(vi, psi);
-    const real dg = -etaS - sn * law.frictionCoefficientDV(vi, psi);
+    const real x = vi / (2.0 * law.v0) * e;
+    const real g = tauLock - etaS * vi - sn * (law.a * std::asinh(x));
+    const real dg =
+        -etaS - sn * (law.a * e / (2.0 * law.v0 * std::sqrt(1.0 + x * x)));
     real step = -g / dg;
     // Keep the iterate positive; g(0) = tauLock >= 0 guarantees a
     // non-negative root.

@@ -42,8 +42,6 @@ struct RateStateFastVWLaw {
 
   /// f(V, psi) = a asinh( V/(2 v0) exp(psi/a) ).
   real frictionCoefficient(real v, real psi) const;
-  /// df/dV at fixed psi.
-  real frictionCoefficientDV(real v, real psi) const;
   /// Steady-state friction coefficient with flash-heating-style weakening.
   real steadyStateFriction(real v) const;
   /// Steady-state state variable psi_ss(V) with f(V, psi_ss) = f_ss(V).

@@ -105,9 +105,12 @@ TEST(PerfReport, HostMetadataEmittedOnlyWhenProvided) {
   meta.host = collectHostMetadata();
   ASSERT_FALSE(meta.host.empty());
   EXPECT_NE(meta.host.count("nproc"), 0u);
+  ASSERT_NE(meta.host.count("compiler"), 0u);
+  EXPECT_EQ(meta.host.at("compiler"), __VERSION__);
   const std::string withHost = perfReportJson(m, meta);
   EXPECT_NE(withHost.find("\"host\""), std::string::npos);
   EXPECT_NE(withHost.find("\"nproc\""), std::string::npos);
+  EXPECT_NE(withHost.find("\"compiler\""), std::string::npos);
 }
 
 // ------------------------------------------------------ chrome trace

@@ -1,5 +1,8 @@
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -61,6 +64,66 @@ TEST(Friction, RsNewtonSolvesResidual) {
     EXPECT_NEAR(tau, -sigmaN * law.frictionCoefficient(v, psi),
                 1e-3 * tauLock);
   }
+}
+
+// The rate-and-state Newton loop as it read before exp(psi/a) was hoisted
+// out of the iteration: f and df/dV each evaluated exp(psi/a).
+void legacyRsNewton(const RateStateFastVWLaw& law, real psi, real tauLock,
+                    real sigmaN, real etaS, real& tau, real& v) {
+  const real sn = std::max(-sigmaN, real(0));
+  if (sn <= 0) {
+    tau = 0;
+    v = tauLock / etaS;
+    return;
+  }
+  real vi = 1e-9;
+  for (int it = 0; it < 60; ++it) {
+    const real g = tauLock - etaS * vi - sn * law.frictionCoefficient(vi, psi);
+    const real e = std::exp(psi / law.a);
+    const real x = vi / (2.0 * law.v0) * e;
+    const real dfdv = law.a * e / (2.0 * law.v0 * std::sqrt(1.0 + x * x));
+    const real dg = -etaS - sn * dfdv;
+    real step = -g / dg;
+    if (vi + step <= 0) {
+      step = -0.5 * vi;
+    }
+    vi += step;
+    if (std::abs(step) < 1e-12 * (1.0 + vi)) {
+      break;
+    }
+  }
+  v = std::max(vi, real(0));
+  tau = std::max(tauLock - etaS * v, real(0));
+}
+
+TEST(Friction, RsNewtonBitwiseMatchesLegacyLoop) {
+  // palu.cfg's law (the defaults), its background state (tau 11.5 MPa,
+  // sigma_n -20 MPa, initial slip rate 1e-12), and a grid around it.
+  RateStateFastVWLaw law;
+  std::vector<real> psis = {law.initialPsi(11.5e6, -20e6, 1e-12)};
+  for (real vRef : {1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 10.0}) {
+    psis.push_back(law.steadyStatePsi(vRef));
+  }
+  int cases = 0;
+  for (real psi : psis) {
+    for (real tauLock : {0.0, 1e5, 5e6, 11.5e6, 12.4e6, 20e6, 75e6}) {
+      for (real sigmaN : {-20e6, -120e6, -1e5, 0.0, 1e6}) {
+        for (real etaS : {2.3e6, 4.6e6, 9.2e6}) {
+          real tau = 0, v = 0, tauRef = 0, vRef = 0;
+          solveFrictionRs(law, psi, tauLock, sigmaN, etaS, tau, v);
+          legacyRsNewton(law, psi, tauLock, sigmaN, etaS, tauRef, vRef);
+          const real got[2] = {tau, v};
+          const real want[2] = {tauRef, vRef};
+          EXPECT_EQ(std::memcmp(got, want, sizeof(got)), 0)
+              << "psi " << psi << " tauLock " << tauLock << " sigmaN "
+              << sigmaN << " etaS " << etaS << ": (" << tau << ", " << v
+              << ") vs (" << tauRef << ", " << vRef << ")";
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 8 * 7 * 5 * 3);
 }
 
 TEST(Friction, RsSteadyStateConsistency) {
