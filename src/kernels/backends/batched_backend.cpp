@@ -96,9 +96,10 @@ void BatchedBackend::correctorBatch(const ElementBatch& batch,
   real* dofTile = backendThreadScratch(1, ba.batchScratchSize);
   real* tIntTile = dofTile + tileSize;
   real* faceScratch = tIntTile + tileSize;
-  // Fourth scratch tile (degree >= 1 guarantees it): per-lane contiguous
-  // nb x 9 slots holding coarser-neighbour sub-interval integrals so the
-  // neighbour-flux stage can run as one fused pass over the batch.
+  // Fourth scratch tile (degree >= 1, enforced by referenceMatrices,
+  // guarantees it): per-lane contiguous nb x 9 slots holding
+  // coarser-neighbour sub-interval integrals so the neighbour-flux stage
+  // can run as one fused pass over the batch.
   real* coarseInt = faceScratch + tileSize;
   static thread_local std::vector<const real*> negFluxPtrs;
   static thread_local std::vector<NeighborFluxLane> nbrLanes;
@@ -198,10 +199,9 @@ void BatchedBackend::correctorBatch(const ElementBatch& batch,
                              kindOf(end) == FaceKind::kBoundaryFolded)) {
         ++end;
       }
-      gemmAccStrided(
-          rm.nb, kNumQuantities * (end - lane), rm.nb, rm.fluxLocal[f].data(),
-          rm.nb,
-          faceScratch + static_cast<std::size_t>(lane) * kNumQuantities, ld,
+      gemmBasisTile(
+          rm.nb, kNumQuantities * (end - lane), rm.fluxLocal[f].data(),
+          faceScratch + static_cast<std::size_t>(lane) * kNumQuantities,
           dofTile + static_cast<std::size_t>(lane) * kNumQuantities, ld);
       lane = end;
     }

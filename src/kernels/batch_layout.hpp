@@ -35,9 +35,9 @@ struct ElementBatch {
   int width = 0;  // number of elements in this batch (<= batchSize)
 };
 
-/// Pick a batch size such that the working set of one batched predictor
-/// (degree+3 tiles of nb x 9*B reals) stays within a conservative L2
-/// budget.  Returns a multiple of 4 in [4, 64].
+/// Pick a batch size such that the hot pair of tiles of the batched kernels
+/// (2 tiles of nb x 9*B reals) stays within a 24 KiB L1d budget.  Returns a
+/// multiple of 4 in [4, 64].
 int autoBatchSize(int nb, int degree);
 
 class ClusterBatchLayout {

@@ -9,7 +9,13 @@
 // batch into one n = 9*width GEMM, and a row-major GEMM accumulates each
 // output value over the k index in increasing order regardless of how
 // the n loop is blocked.  Results are therefore bitwise-identical to the
-// reference path -- pinned by tests/test_batched_kernels.cpp.
+// reference path -- pinned by tests/test_batched_kernels.cpp and, at
+// every degree, tests/test_lts_deep.cpp.
+//
+// Each kernel is instantiated per degree (1..kMaxDegree) with compile-time
+// basis and 9x9 shapes; a product whose output the reference zeroes just
+// before accumulating into it stores its result instead (bitwise the same,
+// see batched_kernels.cpp).
 //
 // Batch-ordered side arrays ("B" suffix): starTB holds, lane-major, the
 // 3 transposed star matrices of each lane (lane*3*81 + c*81).
@@ -19,13 +25,14 @@
 
 namespace tsg {
 
-/// C(MxN) += A(MxK) B(KxN) with explicit leading dimensions and FLOP
-/// accounting (the strided building block of all batched kernels).
-/// Bitwise-equal to detail::gemmAccImpl: the m/n tails are blocked instead
-/// of scalar, which leaves every per-output accumulation sequence intact.
-void gemmAccStrided(int m, int n, int k, const real* a, int lda, const real* b,
-                    int ldb, real* c, int ldc);
-
+/// C(nb x n) += A(nb x nb) B(nb x n): a basis operator (dXi, kXi,
+/// fluxLocal; contiguous, nb x nb) applied to n columns of a tile, with B and
+/// C of leading dimension ld, and FLOP accounting.  Bitwise-equal to
+/// detail::gemmAccImpl: the m/n tails are blocked instead of scalar, which
+/// leaves every per-output accumulation sequence intact.  nb must be
+/// basisSize(d) for a degree d in 1..kMaxDegree (else invalid_argument).
+void gemmBasisTile(int nb, int n, const real* a, const real* b, real* c,
+                   int ld);
 
 /// Zero rows [0, nb) x cols [0, cols) of a tile with leading dimension ld.
 void zeroTile(real* tile, int nb, int cols, int ld);
@@ -58,8 +65,8 @@ void batchedLocalFluxStage(int nb, int width, int ld, const real* tIntTile,
                            const real* const* negFluxT, real* faceScratch);
 
 /// Per-lane neighbour-flux contributions: for every lane with a non-null
-/// entry, scratch = src[lane] * negFluxPlusT[lane] (on a zeroed nb x 9
-/// scratch, matching the reference's memset + accumulate sequence), then
+/// entry, scratch = src[lane] * negFluxPlusT[lane] (an nb x 9 store with
+/// the bits of the reference's memset + accumulate sequence), then
 /// dofTile[lane] += fluxNeighbor[lane] * scratch.
 struct NeighborFluxLane {
   const real* src = nullptr;           // nb x 9 time-integral operand

@@ -1,7 +1,10 @@
 #include "kernels/reference_matrices.hpp"
 
+#include <cassert>
 #include <map>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 
 #include "basis/dubiner.hpp"
 #include "basis/quadrature.hpp"
@@ -56,6 +59,7 @@ ReferenceMatrices build(int degree) {
   // Face quadrature.
   const auto facePts = triangleQuadrature(degree + 2);
   rm.nq = static_cast<int>(facePts.size());
+  assert(rm.nq == faceQuadSize(degree));
   for (const auto& p : facePts) {
     rm.faceQuadS.push_back(p.xi);
     rm.faceQuadT.push_back(p.eta);
@@ -123,6 +127,13 @@ ReferenceMatrices build(int degree) {
 }  // namespace
 
 const ReferenceMatrices& referenceMatrices(int degree) {
+  // Fixed-size buffers (gravity's Taylor coefficients) and the batched
+  // kernels' compile-time shapes cover exactly these degrees.
+  if (degree < 1 || degree > kMaxDegree) {
+    throw std::invalid_argument("degree must be in 1.." +
+                                std::to_string(kMaxDegree) + ", got " +
+                                std::to_string(degree));
+  }
   static std::mutex mutex;
   static std::map<int, ReferenceMatrices> cache;
   std::lock_guard<std::mutex> lock(mutex);

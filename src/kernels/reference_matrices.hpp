@@ -65,7 +65,12 @@ struct ReferenceMatrices {
   std::vector<real> timeQuadTau, timeQuadW;
 };
 
-/// Cached accessor; matrices for a degree are built once.
+/// Face quadrature points of a degree: a collapsed (degree+2) x (degree+2)
+/// Gauss rule on the reference triangle.
+constexpr int faceQuadSize(int degree) { return (degree + 2) * (degree + 2); }
+
+/// Cached accessor; matrices for a degree are built once.  Throws
+/// std::invalid_argument outside 1..kMaxDegree.
 const ReferenceMatrices& referenceMatrices(int degree);
 
 }  // namespace tsg

@@ -34,7 +34,7 @@ struct SolverConfig {
   // checkpoints are interchangeable between both paths, which also
   // produce bitwise-identical results.
   KernelPath kernelPath = KernelPath::kBatched;
-  int batchSize = 0;  // elements per batch tile; <= 0 selects an L2-sized
+  int batchSize = 0;  // elements per batch tile; <= 0 selects an L1d-sized
                       // default (see autoBatchSize)
   // Pin the persistent parallel region's worker threads to cores
   // (perfmodel/pinning runtime policy, paper Sec. 5.2).  Off by default:

@@ -2,6 +2,7 @@
 #include <cstdint>
 #include <cstring>
 #include <random>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -85,6 +86,15 @@ TEST_P(RefMatrices, TimeQuadratureIntegratesPolynomials) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Degrees, RefMatrices, ::testing::Values(1, 2, 3, 4, 5));
+
+// Every solver path gets its matrices here, and fixed-size buffers
+// (gravity's Taylor coefficients, the batched kernels' compile-time
+// shapes) cover exactly degrees 1..kMaxDegree.
+TEST(RefMatricesRange, DegreesOutsideSupportedRangeThrow) {
+  EXPECT_THROW(referenceMatrices(0), std::invalid_argument);
+  EXPECT_THROW(referenceMatrices(kMaxDegree + 1), std::invalid_argument);
+  EXPECT_EQ(referenceMatrices(kMaxDegree).degree, kMaxDegree);
+}
 
 class AderKernels : public ::testing::TestWithParam<int> {};
 
@@ -172,6 +182,35 @@ TEST_P(AderKernels, PredictorMatchesPdeForLinearField) {
       EXPECT_NEAR(stack[nbq + l * 9 + p], 0.0, 1e-9);
     }
   }
+}
+
+// The pointwise surface kernel (gravity and rupture faces) is shared by
+// both backends, so no batched-vs-reference suite pins it: compare it with
+// the runtime-shape oracle bit for bit at every degree.
+TEST_P(AderKernels, PointwiseSurfaceKernelMatchesGemmOracleBitwise) {
+  const auto& rm = referenceMatrices(GetParam());
+  std::mt19937 rng(11);
+  std::uniform_real_distribution<real> uni(-1, 1);
+  std::vector<real> fluxQp(static_cast<std::size_t>(rm.nq) * 9);
+  std::vector<real> dofs(dofCount(rm));
+  for (real& v : fluxQp) {
+    v = uni(rng);
+  }
+  for (real& v : dofs) {
+    v = uni(rng);
+  }
+  const real scale = 0.37;
+  std::vector<real> neg(fluxQp.size());
+  for (std::size_t i = 0; i < neg.size(); ++i) {
+    neg[i] = -scale * fluxQp[i];
+  }
+  std::vector<real> expected = dofs;
+  detail::gemmAccImpl(rm.nb, 9, rm.nq, rm.faceEvalTW[1].data(), rm.nq,
+                      neg.data(), 9, expected.data(), 9);
+  surfaceKernelPointwise(rm, rm.faceEvalTW[1], scale, fluxQp.data(),
+                         dofs.data());
+  EXPECT_EQ(0, std::memcmp(expected.data(), dofs.data(),
+                           dofs.size() * sizeof(real)));
 }
 
 TEST_P(AderKernels, TaylorIntegrationAndEvaluation) {

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -173,13 +174,16 @@ TEST(LtsDeep, BatchedPipelineMatchesReferenceBitwiseAtRates2And4) {
   // arithmetic exactly: buffer accumulate/reset at rate boundaries, the
   // coarser-neighbour sub-interval Taylor offsets, and the finer-neighbour
   // buffer reads -- at the generalised rate too, where the modulo span
-  // arithmetic is least forgiving.
+  // arithmetic is least forgiving.  Rate 2 runs at every degree, since each
+  // basis size has its own compile-time kernel instantiation.
   const Mesh mesh = threeLayerMesh();
   const auto mats = threeLayerMaterials();
-  for (int rate : {2, 4}) {
+  const std::pair<int, int> cases[] = {{1, 2}, {2, 2}, {3, 2},
+                                       {3, 4}, {4, 2}, {5, 2}};
+  for (const auto& [degree, rate] : cases) {
     auto run = [&](KernelPath path) {
       SolverConfig cfg;
-      cfg.degree = 3;
+      cfg.degree = degree;
       cfg.gravity = 0;
       cfg.ltsRate = rate;
       cfg.deterministic = true;
@@ -203,7 +207,7 @@ TEST(LtsDeep, BatchedPipelineMatchesReferenceBitwiseAtRates2And4) {
     const auto& qb = bat->dofsData();
     ASSERT_EQ(qr.size(), qb.size());
     EXPECT_EQ(0, std::memcmp(qr.data(), qb.data(), qr.size() * sizeof(real)))
-        << "rate " << rate;
+        << "degree " << degree << " rate " << rate;
   }
 }
 

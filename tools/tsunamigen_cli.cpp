@@ -70,7 +70,7 @@ kernel_path         = batched      # reference (per element) | batched (fused cl
 threads             = 0            # OpenMP worker threads; 0 = OMP_NUM_THREADS/default.
                                    # Results are bitwise identical across thread counts.
 pin_threads         = false        # pin workers to cores (paper Sec. 5.2 placement)
-# batch_size        = 0            # elements per batch tile; 0 = auto L2-sized (expert)
+# batch_size        = 0            # elements per batch tile; 0 = auto L1d-sized (expert)
 # cfl_fraction      = 0.35         # override the CFL fraction (expert)
 )";
 
