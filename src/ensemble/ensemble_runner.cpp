@@ -10,7 +10,6 @@
 
 #include "common/errors.hpp"
 #include "common/json.hpp"
-#include "ensemble/fleet_perf.hpp"
 #include "io/atomic_file.hpp"
 #include "telemetry/logging.hpp"
 
@@ -37,11 +36,8 @@ class FleetStatus {
     std::string error;
   };
 
-  FleetStatus(std::string path, const EnsemblePlan& plan,
-              std::string fleetPerfPath = "")
-      : path_(std::move(path)),
-        fleetPerfPath_(std::move(fleetPerfPath)),
-        start_(nowSeconds()) {
+  FleetStatus(std::string path, const EnsemblePlan& plan)
+      : path_(std::move(path)), start_(nowSeconds()) {
     members_.resize(plan.members.size());
     for (std::size_t i = 0; i < plan.members.size(); ++i) {
       members_[i].prefix = plan.members[i].prefix;
@@ -102,10 +98,6 @@ class FleetStatus {
     out += ",\n  \"progress_percent\": " +
            jsonNumber(n > 0 ? progressSum / n : 0.0);
     out += ",\n  \"wall_seconds\": " + jsonNumber(now - start_);
-    if (!fleetPerfPath_.empty()) {
-      // Where the tsg-fleetperf-1 roll-up lands when the fleet finishes.
-      out += ",\n  \"fleet_perf\": " + jsonQuote(fleetPerfPath_);
-    }
     out += ",\n  \"members\": [";
     for (std::size_t i = 0; i < members_.size(); ++i) {
       const Member& m = members_[i];
@@ -123,7 +115,6 @@ class FleetStatus {
   }
 
   std::string path_;
-  std::string fleetPerfPath_;
   double start_ = 0;
   std::mutex mutex_;
   std::string fleetState_ = "running";
@@ -232,7 +223,7 @@ EnsembleResult runEnsemble(const EnsemblePlan& plan,
   const int ambientThreads = omp_get_max_threads();
 
   AssetCache cache;
-  FleetStatus fleet(opts.statusPath, plan, opts.fleetPerfPath);
+  FleetStatus fleet(opts.statusPath, plan);
 
   logInfo("ensemble_start",
           "ensemble: " + std::to_string(plan.members.size()) + " members, " +
@@ -259,17 +250,10 @@ EnsembleResult runEnsemble(const EnsemblePlan& plan,
         if (!opts.statusPath.empty()) {
           o.statusPath = m.prefix + "_status.json";
         }
-        if (!opts.fleetPerfPath.empty()) {
-          // Member report on disk for drill-down; the roll-up itself is
-          // aggregated from RunResult::perfPhases, not by re-parsing it.
-          o.perfReportPath = m.prefix + "_perf.json";
-        }
         RunHooks hooks;
-        if (opts.shareAssets) {
-          hooks.assetProvider = [&cache](const ScenarioBundle& bundle) {
-            return cache.acquire(bundle);
-          };
-        }
+        hooks.assetProvider = [&cache](const ScenarioBundle& bundle) {
+          return cache.acquire(bundle);
+        };
         if (opts.autoResume) {
           hooks.resumeOverride = newestCheckpoint(m.prefix);
           out.resumed = !hooks.resumeOverride.empty();
@@ -305,11 +289,6 @@ EnsembleResult runEnsemble(const EnsemblePlan& plan,
   result.assetCacheHits = cache.hits();
   result.assetBuildSeconds = cache.buildSeconds();
   result.wallSeconds = nowSeconds() - wallStart;
-  if (!opts.fleetPerfPath.empty()) {
-    writeFleetPerf(opts.fleetPerfPath, result);
-    logInfo("fleet_perf", "wrote " + opts.fleetPerfPath,
-            {logStr("path", opts.fleetPerfPath)});
-  }
   fleet.finish(result.allOk() ? "done" : "failed");
 
   logInfo("ensemble_finish",

@@ -58,14 +58,9 @@ class AssetCache {
 };
 
 struct EnsembleOptions {
-  int workers = 0;          // 0 = plan.workers
-  bool autoResume = true;   // resume members from their newest checkpoint
-  bool shareAssets = true;  // false = every member builds privately
-  std::string statusPath;   // fleet tsg-status-1 roll-up ("" = none)
-  /// Fleet perf roll-up path ("tsg-fleetperf-1"; "" = none).  Enables
-  /// each member's perf monitor and tsg-perf-1 report
-  /// (<memberPrefix>_perf.json); referenced from the status heartbeat.
-  std::string fleetPerfPath;
+  int workers = 0;         // 0 = plan.workers
+  bool autoResume = true;  // resume members from their newest checkpoint
+  std::string statusPath;  // fleet tsg-status-1 roll-up ("" = none)
 };
 
 struct MemberOutcome {

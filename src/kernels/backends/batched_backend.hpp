@@ -29,7 +29,6 @@ class BatchedBackend : public KernelBackend {
   const char* name() const override { return "batched"; }
 
   void prepare() override;
-  void invalidateLayout() override { ba_.reset(); }
 
   std::size_t numTiles(int cluster) const override {
     return static_cast<std::size_t>(ba_->layout.endBatchOfCluster(cluster) -

@@ -29,7 +29,6 @@ RunOptions readRunOptions(const ConfigFile& cfg) {
   o.prefix = cfg.getString("output_prefix", "run");
   o.vtk = cfg.getBool("vtk_output", true);
   o.lts = cfg.getBool("lts", true);
-  o.deterministic = cfg.getBool("deterministic", false);
   o.snapshots = cfg.getInt("snapshots", 4);
   o.checkpointInterval = cfg.getNumber("checkpoint_interval", 0.0);
   o.keepCheckpoints = cfg.getInt("keep_checkpoints", 3);
@@ -116,7 +115,6 @@ RunOptions readRunOptions(const ConfigFile& cfg) {
 
 void applySolverOptions(SolverConfig& sc, const RunOptions& o) {
   sc.ltsRate = o.lts ? 2 : 1;
-  sc.deterministic = o.deterministic;
   sc.kernelPath = o.kernelPath;
   sc.batchSize = o.batchSize;
   sc.pinThreads = o.pinThreads;
@@ -402,18 +400,6 @@ RunResult runPipeline(const std::string& configPath, const ConfigFile& cfg,
   result.configHash = sim->configHash();
   result.assetHash = sim->assetHash();
   result.scenarioHash = sim->scenarioHash();
-  if (const PerfMonitor* perf = sim->perfMonitor()) {
-    for (int p = 0; p < kNumPhases; ++p) {
-      const Phase phase = static_cast<Phase>(p);
-      const PhaseStats s = perf->total(phase);
-      RunPhasePerf rp;
-      rp.phase = phaseName(phase);
-      rp.busySeconds = s.seconds;
-      rp.wallSeconds = perf->wallSeconds(phase);
-      rp.gflops = s.seconds > 0 ? s.flops / s.seconds / 1e9 : 0.0;
-      result.perfPhases.push_back(rp);
-    }
-  }
   const real gravity = sim->config().gravity;
   for (int r = 0; r < sim->numReceivers(); ++r) {
     result.receivers.push_back(

@@ -40,7 +40,6 @@ struct RunOptions {
   std::string prefix = "run";
   bool vtk = true;
   bool lts = true;
-  bool deterministic = false;
   int snapshots = 4;
   real checkpointInterval = 0;
   int keepCheckpoints = 3;
@@ -90,16 +89,6 @@ struct ReceiverSummary {
   std::size_t samples = 0;
 };
 
-/// One phase of the member's perf measurement, carried back to the
-/// driver so the ensemble can aggregate a fleet roll-up without
-/// re-parsing the member's on-disk tsg-perf-1 report.
-struct RunPhasePerf {
-  std::string phase;
-  double busySeconds = 0;
-  double wallSeconds = 0;
-  double gflops = 0;  // flops / busy seconds (per-core sustained)
-};
-
 struct RunResult {
   std::string scenarioName;
   double simulatedTime = 0;
@@ -108,9 +97,6 @@ struct RunResult {
   std::uint64_t assetHash = 0;
   std::uint64_t scenarioHash = 0;
   std::vector<ReceiverSummary> receivers;
-  /// Filled when the run had a perf monitor (perf report or trace
-  /// requested); empty otherwise.
-  std::vector<RunPhasePerf> perfPhases;
 };
 
 /// Optional shared-asset source: given the resolved bundle (after solver

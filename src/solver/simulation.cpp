@@ -311,8 +311,6 @@ std::uint64_t Simulation::configHash() const {
   h = fnv1aOf(h, cfg_.ltsRate);
   h = fnv1aOf(h, cfg_.maxClusters);
   h = fnv1aOf(h, static_cast<int>(cfg_.frictionLaw));
-  // `deterministic` is deliberately excluded: it changes loop schedules,
-  // not the meaning or layout of the state.
   h = fnv1aOf(h, assets_->mesh.numElements());
   h = fnv1aOf(h, assets_->clusters.numClusters);
   h = fnv1aOf(h, assets_->clusters.dtMin);

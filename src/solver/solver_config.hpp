@@ -21,16 +21,9 @@ struct SolverConfig {
                             // 1 = global time stepping
   int maxClusters = 12;
   FrictionLawType frictionLaw = FrictionLawType::kLinearSlipWeakening;
-  // Force bitwise-reproducible stepping across OpenMP thread counts:
-  // static loop schedules instead of dynamic work stealing.  Element
-  // updates write disjoint state in a fixed per-element operation order,
-  // so results are reproducible either way; `deterministic` pins the
-  // traversal so that reproducibility no longer depends on that disjointness
-  // argument holding for future solver extensions.
-  bool deterministic = false;
-  // Kernel pipeline selection (see common/kernel_path.hpp).  Like
-  // `deterministic`, the path changes the execution strategy but not the
-  // state layout, so it is deliberately excluded from configHash():
+  // Kernel pipeline selection (see common/kernel_path.hpp).  The path
+  // changes the execution strategy but not the state layout, so it is
+  // deliberately excluded from configHash():
   // checkpoints are interchangeable between both paths, which also
   // produce bitwise-identical results.
   KernelPath kernelPath = KernelPath::kBatched;
@@ -41,7 +34,7 @@ struct SolverConfig {
   // affinity is process-global state and embedders/MPI launchers often
   // manage it themselves.  Set via the CLI `pin_threads` key.
   // Execution strategy only -- excluded from configHash() like
-  // `deterministic`, and it never affects results (the ThreadPlan slicing
+  // `kernelPath`, and it never affects results (the ThreadPlan slicing
   // is bitwise-neutral; see solver/thread_plan.hpp).
   bool pinThreads = false;
 };

@@ -1,8 +1,9 @@
 // Equivalence of the batched cluster-ordered kernel pipeline with the
 // per-element reference path:
-//  * bitwise-identical receiver CSVs on the megathrust mini-scenario in
-//    deterministic mode (gravity + dynamic rupture + LTS all active),
-//  * full DOF agreement to 1e-12 in the default (non-deterministic) mode,
+//  * bitwise-identical receiver CSVs on the megathrust mini-scenario
+//    (gravity + dynamic rupture + LTS all active),
+//  * bitwise-identical DOFs after every macro step on the coupled-layer
+//    mode,
 //  * the relayout gather/scatter round-trips modal data exactly,
 //  * the batch layout is a permutation partition of the element set,
 //  * every batch size views the asset's one operand copy, and a
@@ -40,11 +41,10 @@ ScenarioBundle megathrustPreset() {
                             2);
 }
 
-std::unique_ptr<Simulation> megathrustMini(KernelPath path, bool deterministic,
-                                           int threads, int batchSize = 0) {
+std::unique_ptr<Simulation> megathrustMini(KernelPath path, int threads,
+                                           int batchSize = 0) {
   omp_set_num_threads(threads);
   ScenarioBundle bundle = megathrustPreset();
-  bundle.solver.deterministic = deterministic;
   bundle.solver.kernelPath = path;
   bundle.solver.batchSize = batchSize;
   auto sim = makeSimulation(bundle);
@@ -62,11 +62,11 @@ std::string fileBytes(const std::string& path) {
 // The acceptance criterion of the batched pipeline: on the megathrust
 // scenario (exercising gravity faces, rupture faces, folded boundaries,
 // and a multi-cluster LTS layout at once) the batched path reproduces the
-// reference path's receiver output BYTE-for-byte in deterministic mode.
+// reference path's receiver output BYTE-for-byte.
 TEST(BatchedKernels, MegathrustReceiversBitwiseMatchReference) {
   ThreadCountGuard guard;
-  const auto ref = megathrustMini(KernelPath::kReference, true, 8);
-  const auto bat = megathrustMini(KernelPath::kBatched, true, 8);
+  const auto ref = megathrustMini(KernelPath::kReference, 8);
+  const auto bat = megathrustMini(KernelPath::kBatched, 8);
   ASSERT_EQ(ref->numReceivers(), bat->numReceivers());
   for (int r = 0; r < ref->numReceivers(); ++r) {
     const Receiver& rr = ref->receiver(r);
@@ -135,8 +135,8 @@ TEST(BatchedKernels, BatchSizesViewTheOneAssetOperandCopy) {
 // reproduces the reference path's modal state bitwise.
 TEST(BatchedKernels, NonDefaultBatchSizeBitwiseMatchesReference) {
   ThreadCountGuard guard;
-  const auto ref = megathrustMini(KernelPath::kReference, true, 4);
-  const auto bat = megathrustMini(KernelPath::kBatched, true, 4, 12);
+  const auto ref = megathrustMini(KernelPath::kReference, 4);
+  const auto bat = megathrustMini(KernelPath::kBatched, 4, 12);
   EXPECT_EQ(bat->batchLayout().batchSize(), 12);
   ASSERT_EQ(ref->dofsData().size(), bat->dofsData().size());
   EXPECT_EQ(0, std::memcmp(ref->dofsData().data(), bat->dofsData().data(),
@@ -149,10 +149,10 @@ TEST(BatchedKernels, NonDefaultBatchSizeBitwiseMatchesReference) {
   }
 }
 
-// In the default non-deterministic mode the loop schedules differ but
-// element updates write disjoint state: the full DOF vectors must still
-// agree (to 1e-12 by the acceptance criterion; in practice bitwise).
-TEST(BatchedKernels, NonDeterministicDofsAgreeAcrossPaths) {
+// The two paths traverse elements in different orders, but every element
+// update writes disjoint state in a fixed operation order: the full DOF
+// vectors agree bitwise after every macro step.
+TEST(BatchedKernels, CoupledLayerDofsBitwiseMatchAcrossPaths) {
   ThreadCountGuard guard;
   omp_set_num_threads(8);
   const AnalyticCase c = coupledLayerModeCase(8);
@@ -177,14 +177,8 @@ TEST(BatchedKernels, NonDeterministicDofsAgreeAcrossPaths) {
     const auto& qr = ref->dofsData();
     const auto& qb = bat->dofsData();
     ASSERT_EQ(qr.size(), qb.size());
-    real maxAbs = 0;
-    for (const real v : qr) {
-      maxAbs = std::max(maxAbs, std::abs(v));
-    }
-    for (std::size_t i = 0; i < qr.size(); ++i) {
-      ASSERT_LE(std::abs(qr[i] - qb[i]), 1e-12 * (1 + maxAbs))
-          << "dof " << i << " after macro step " << k;
-    }
+    ASSERT_EQ(0, std::memcmp(qr.data(), qb.data(), qr.size() * sizeof(real)))
+        << "after macro step " << k;
   }
 }
 
@@ -234,7 +228,7 @@ TEST(BatchedKernels, AutoBatchSizeIsBoundedMultipleOf4) {
 // exactly once, batches cluster-pure and within the batch size.
 TEST(BatchedKernels, BatchLayoutPartitionsElements) {
   ThreadCountGuard guard;
-  const auto sim = megathrustMini(KernelPath::kBatched, false, 4);
+  const auto sim = megathrustMini(KernelPath::kBatched, 4);
   const ClusterBatchLayout& layout = sim->batchLayout();
   const int n = sim->mesh().numElements();
   ASSERT_EQ(static_cast<int>(layout.elements().size()), n);

@@ -1,5 +1,5 @@
 // Checkpoint/restart subsystem:
-//  * kill-and-resume equivalence: a deterministic megathrust run saved at
+//  * kill-and-resume equivalence: a megathrust run saved at
 //    a macro-cycle boundary and restored into a freshly built simulation
 //    continues bitwise-identically (receiver CSVs byte-compare equal),
 //  * header/CRC validation rejects truncated, bit-flipped, wrong-degree,
@@ -54,7 +54,6 @@ std::unique_ptr<Simulation> smallGravitySim(
   SolverConfig cfg;
   cfg.degree = degree;
   cfg.cflFraction = cflFraction;
-  cfg.deterministic = true;
   cfg.kernelPath = kernelPath;
   auto sim = std::make_unique<Simulation>(
       buildBoxMesh(spec),
@@ -142,16 +141,15 @@ TEST(Checkpoint, SmallSimRoundTripIsBitwiseExact) {
 }
 
 std::unique_ptr<Simulation> presetSim(const std::string& name) {
-  ScenarioBundle bundle = loadPresetScenario(
+  const ScenarioBundle bundle = loadPresetScenario(
       std::string(TSG_PRESET_DIR) + "/" + name + ".cfg", 2);
-  bundle.solver.deterministic = true;
   return makeSimulation(bundle);
 }
 
 TEST(Checkpoint, MegathrustKillAndResumeReceiverCsvsAreByteIdentical) {
   // The acceptance criterion: an interrupted-at-a-checkpoint + resumed
-  // deterministic megathrust run produces byte-identical receiver CSVs to
-  // an uninterrupted one.  Covers DOFs, gravity eta, LSW fault state, and
+  // megathrust run produces byte-identical receiver CSVs to an
+  // uninterrupted one.  Covers DOFs, gravity eta, LSW fault state, and
   // seafloor uplift through a full coupled dynamic-rupture setup.
   const std::string path = "ckpt_megathrust.tsgck";
   auto a = presetSim("megathrust");
@@ -285,7 +283,6 @@ TEST(Checkpoint, ReceiverSetMismatchIsRejected) {
   };
   SolverConfig cfg;
   cfg.degree = 2;
-  cfg.deterministic = true;
   Simulation bare(buildBoxMesh(spec),
                   {Material::fromVelocities(2700, 6000, 3464),
                    Material::acoustic(1000, 1500)},

@@ -1,8 +1,8 @@
 // Reproducibility and thread-safety of the LTS stepping loops:
 //  * thread-local scratch survives OpenMP thread-count changes made after
 //    Simulation construction (previously out-of-bounds),
-//  * `deterministic = true` produces bitwise-identical receiver output
-//    across thread counts (the megathrust mini-scenario acceptance check),
+//  * every run produces bitwise-identical receiver output across thread
+//    counts (the megathrust mini-scenario acceptance check),
 //  * invalid LTS rates are rejected up front.
 
 #include <omp.h>
@@ -70,11 +70,10 @@ TEST(Determinism, ThreadScratchSurvivesThreadCountGrowth) {
   }
 }
 
-std::unique_ptr<Simulation> megathrustMini(bool deterministic, int threads) {
+std::unique_ptr<Simulation> megathrustMini(int threads) {
   omp_set_num_threads(threads);
-  ScenarioBundle bundle =
+  const ScenarioBundle bundle =
       loadPresetScenario(std::string(TSG_PRESET_DIR) + "/megathrust.cfg", 2);
-  bundle.solver.deterministic = deterministic;
   auto sim = makeSimulation(bundle);
   sim->advanceTo(2.999 * sim->macroDt());
   return sim;
@@ -92,10 +91,10 @@ TEST(Determinism, MegathrustReceiversBitwiseReproducibleAcrossThreadCounts) {
   // One serial baseline, compared bitwise against every threaded run: the
   // persistent parallel region's work slicing must never leak into the
   // numbers (OMP_NUM_THREADS in {1, 2, 4} per the acceptance criterion).
-  const auto a = megathrustMini(true, 1);
+  const auto a = megathrustMini(1);
   const auto sa = a->seafloor();
   for (const int threads : {2, 4}) {
-    const auto b = megathrustMini(true, threads);
+    const auto b = megathrustMini(threads);
     ASSERT_EQ(a->numReceivers(), b->numReceivers());
     for (int r = 0; r < a->numReceivers(); ++r) {
       const Receiver& ra = a->receiver(r);

@@ -65,7 +65,6 @@ std::string sweepBase() {
          "end_time = 0.3\n"
          "vtk_output = false\n"
          "snapshots = 1\n"
-         "deterministic = true\n"
          "output_prefix = sw\n";
 }
 
@@ -76,8 +75,8 @@ TEST(SweepExpansion, CartesianEnumeratesLastAxisFastest) {
                            "[ensemble]\nworkers = 3\n"
                            "[[sweep]]\nkey = kernel_path\n"
                            "values = reference, batched\n"
-                           "[[sweep]]\nkey = deterministic\n"
-                           "values = true, false, true\n";
+                           "[[sweep]]\nkey = batch_size\n"
+                           "values = 0, 8, 16\n";
   const EnsemblePlan plan = expandSweep(ConfigFile::parse(text));
   EXPECT_EQ(plan.prefix, "sw");
   EXPECT_EQ(plan.workers, 3);
@@ -90,15 +89,14 @@ TEST(SweepExpansion, CartesianEnumeratesLastAxisFastest) {
   // Last axis fastest: kernel_path flips every 3 members.
   const char* expectedKernel[] = {"reference", "reference", "reference",
                                   "batched",   "batched",   "batched"};
-  const char* expectedDet[] = {"true", "false", "true",
-                               "true", "false", "true"};
+  const char* expectedBatch[] = {"0", "8", "16", "0", "8", "16"};
   for (int k = 0; k < 6; ++k) {
     const EnsembleMember& m = plan.members[k];
     EXPECT_EQ(m.index, k);
     EXPECT_EQ(m.prefix, "sw_member_" + std::to_string(k));
     EXPECT_EQ(m.configPath, "sw_member_" + std::to_string(k) + ".cfg");
     EXPECT_EQ(m.overrides.at("kernel_path"), expectedKernel[k]);
-    EXPECT_EQ(m.overrides.at("deterministic"), expectedDet[k]);
+    EXPECT_EQ(m.overrides.at("batch_size"), expectedBatch[k]);
     // The rendered member is self-contained: overrides and the rewritten
     // prefix are in the text, the driver sections are stripped.
     EXPECT_NE(m.configText.find("output_prefix = " + m.prefix),
@@ -332,7 +330,6 @@ TEST(EnsembleEngine, MemberMatchesStandaloneRunAndSurvivesResume) {
       "end_time = 0.3\n"
       "vtk_output = false\n"
       "snapshots = 1\n"
-      "deterministic = true\n"
       "checkpoint_interval = 0.1\n"
       "output_prefix = " +
       (dir / "ens").string() +

@@ -42,7 +42,6 @@ std::unique_ptr<Simulation> pulseSim(real cflFraction) {
   SolverConfig cfg;
   cfg.degree = 2;
   cfg.cflFraction = cflFraction;
-  cfg.deterministic = true;
   auto sim = std::make_unique<Simulation>(
       buildBoxMesh(spec),
       std::vector<Material>{Material::fromVelocities(2700, 6000, 3464),

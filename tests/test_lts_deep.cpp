@@ -186,7 +186,6 @@ TEST(LtsDeep, BatchedPipelineMatchesReferenceBitwiseAtRates2And4) {
       cfg.degree = degree;
       cfg.gravity = 0;
       cfg.ltsRate = rate;
-      cfg.deterministic = true;
       cfg.kernelPath = path;
       auto sim = std::make_unique<Simulation>(mesh, mats, cfg);
       sim->setInitialCondition([](const Vec3& x, int) {
@@ -225,7 +224,6 @@ TEST(LtsDeep, Rate4ThreadedMatchesSerialBitwise) {
     cfg.degree = 3;
     cfg.gravity = 0;
     cfg.ltsRate = 4;
-    cfg.deterministic = true;
     auto sim = std::make_unique<Simulation>(mesh, mats, cfg);
     sim->setInitialCondition([](const Vec3& x, int) {
       std::array<real, 9> q{};

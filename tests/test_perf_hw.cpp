@@ -4,9 +4,7 @@
 //    phase and in total, and no `seconds` alias,
 //  * host metadata appears only when provided,
 //  * the chrome-trace buffer holds at most its event cap, counting phase
-//    regions and named events together,
-//  * the fleet roll-up ("tsg-fleetperf-1") aggregates member phase
-//    stats into quantiles and counts degraded/failed members honestly.
+//    regions and named events together.
 
 #include <cstdio>
 #include <fstream>
@@ -15,8 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "ensemble/ensemble_runner.hpp"
-#include "ensemble/fleet_perf.hpp"
 #include "perf/host_metadata.hpp"
 #include "perf/perf_monitor.hpp"
 
@@ -140,56 +136,6 @@ TEST(PerfReport, TraceBufferHoldsAtMostMaxEvents) {
   // Aggregates are not capped.
   EXPECT_EQ(m.spanStats().at("unit_span").invocations, 3u);
   EXPECT_EQ(m.total(Phase::kPredictor).invocations, 4u);
-}
-
-// -------------------------------------------------- tsg-fleetperf-1
-
-TEST(FleetPerf, AggregatesPhaseQuantilesAcrossMembers) {
-  EnsembleResult result;
-  result.wallSeconds = 4.0;
-  result.assetsBuilt = 1;
-  result.assetCacheHits = 2;
-  result.assetBuildSeconds = 0.5;
-  result.members.resize(3);
-  for (int i = 0; i < 3; ++i) {
-    MemberOutcome& m = result.members[i];
-    m.index = i;
-    m.prefix = "fleet_member_" + std::to_string(i);
-    m.wallSeconds = 1.0 + i;
-  }
-  // Members 0 and 1 measured; member 2 failed.
-  for (int i = 0; i < 2; ++i) {
-    MemberOutcome& m = result.members[i];
-    m.ok = true;
-    // Binary-exact values: jsonNumber prints %.17g verbatim.
-    m.result.perfPhases = {
-        {"predictor", 0.25 + 0.25 * i, 0.125 + 0.125 * i, 10.0 + i},
-        {"corrector", 0.5, 0.25, 5.0},
-    };
-  }
-  result.members[2].error = "diverged";
-
-  const std::string json = fleetPerfJson(result);
-  EXPECT_NE(json.find("\"schema\": \"tsg-fleetperf-1\""), std::string::npos);
-  EXPECT_NE(json.find("\"members_total\": 3"), std::string::npos);
-  EXPECT_NE(json.find("\"members_ok\": 2"), std::string::npos);
-  EXPECT_NE(json.find("\"members_failed\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"members_with_perf\": 2"), std::string::npos);
-  EXPECT_NE(json.find("\"phase\": \"predictor\""), std::string::npos);
-  EXPECT_NE(json.find("\"phase\": \"corrector\""), std::string::npos);
-  EXPECT_NE(json.find("\"busy_seconds\""), std::string::npos);
-  EXPECT_NE(json.find("\"wall_seconds\""), std::string::npos);
-  EXPECT_NE(json.find("\"median\""), std::string::npos);
-  // Predictor busy quantiles of {0.25, 0.5}.
-  EXPECT_NE(json.find("\"min\": 0.25"), std::string::npos);
-  EXPECT_NE(json.find("\"max\": 0.5"), std::string::npos);
-  // Asset-cache economics.
-  EXPECT_NE(json.find("\"builds\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"hits\": 2"), std::string::npos);
-  EXPECT_NE(json.find("\"seconds_per_build\": 0.5"), std::string::npos);
-  // Member drill-down: perf reports referenced only where they exist.
-  EXPECT_NE(json.find("fleet_member_0_perf.json"), std::string::npos);
-  EXPECT_EQ(json.find("fleet_member_2_perf.json"), std::string::npos);
 }
 
 }  // namespace

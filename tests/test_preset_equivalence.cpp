@@ -116,12 +116,11 @@ void expectDigests(const std::string& name, const BundleDigests& want) {
   EXPECT_EQ(got.initial, want.initial) << name << ": initial condition";
 }
 
-/// Build and advance a bundle three macro cycles in deterministic mode
-/// on the given backend / thread count.
+/// Build and advance a bundle three macro cycles on the given backend /
+/// thread count.
 std::unique_ptr<Simulation> runBundle(ScenarioBundle bundle, KernelPath path,
                                       int threads) {
   omp_set_num_threads(threads);
-  bundle.solver.deterministic = true;
   bundle.solver.kernelPath = path;
   auto sim = makeSimulation(bundle);
   sim->advanceTo(2.999 * sim->macroDt());

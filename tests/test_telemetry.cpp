@@ -64,7 +64,6 @@ std::unique_ptr<Simulation> pulseSim() {
   SolverConfig cfg;
   cfg.degree = 2;
   cfg.cflFraction = 0.35;
-  cfg.deterministic = true;
   auto sim = std::make_unique<Simulation>(
       buildBoxMesh(spec),
       std::vector<Material>{Material::fromVelocities(2700, 6000, 3464),

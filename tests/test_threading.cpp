@@ -335,7 +335,6 @@ TEST(Threading, SchedulerHonorsPinThreadsConfigWithoutChangingResults) {
   auto run = [&](bool pin) {
     omp_set_num_threads(2);
     ScenarioBundle bundle = s;
-    bundle.solver.deterministic = true;
     bundle.solver.pinThreads = pin;
     auto sim = makeSimulation(bundle);
     sim->advanceTo(1.999 * sim->macroDt());

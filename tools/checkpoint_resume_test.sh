@@ -22,7 +22,7 @@ fail() {
 }
 
 common() {
-  printf 'preset = %s\ndegree = 2\nsnapshots = 1\nvtk_output = false\ndeterministic = true\n' \
+  printf 'preset = %s\ndegree = 2\nsnapshots = 1\nvtk_output = false\n' \
     "$ROOT/examples/presets/megathrust.cfg"
 }
 

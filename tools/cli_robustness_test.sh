@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
 # CLI exit-code contract and failure-mode artifacts:
+#   exit 0  a removed config key only warns (config_unknown_key)
 #   exit 2  configuration errors (invalid values, trailing garbage, typos)
 #   exit 3  solver divergence (+ *_failure.vtk and *_incident.json)
 #   exit 4  I/O failures (missing/corrupt checkpoint, unwritable output)
@@ -62,6 +63,21 @@ printf 'preset = %s\nend_time = 0.1\nvtk_output = false\n' "$QS" > removed_flag.
 expect_exit 2 removed_flag removed_flag.cfg --model-check
 grep -q "unknown option" removed_flag.err \
   || fail "removed_flag: no 'unknown option' diagnostic"
+
+# The `deterministic` key was removed (every run is bitwise reproducible
+# across thread counts): a config that still sets it runs and gets the
+# ordinary unknown-key warning.
+printf 'preset = %s
+degree = 1
+end_time = 0.05
+snapshots = 1
+vtk_output = false
+output_prefix = det
+deterministic = true
+' "$QS" > removed_key.cfg
+expect_exit 0 removed_key removed_key.cfg
+grep -q "config_unknown_key: unknown configuration key 'deterministic'" removed_key.err \
+  || fail "removed_key: no config_unknown_key warning naming 'deterministic'"
 
 # --- exit 4: I/O failures ---------------------------------------------------
 printf 'preset = %s\nend_time = 1\nresume = missing.tsgck\n' "$QS" > noresume.cfg

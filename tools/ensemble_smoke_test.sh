@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Ensemble engine smoke, end to end through both drivers:
+#  0. --dry-run validates every member's run options (a negative
+#     `threads` on one sweep axis value exits 2), and the deleted
+#     --fleet-perf / --no-share-assets options are rejected (exit 2),
 #  1. expand and run a 4-member quickstart sweep (kernel_path x
 #     batch_size -- non-structural axes, so all members must share ONE
-#     SimulationAssets build), with the fleet status and fleet perf
-#     roll-ups on,
-#  2. assert the tsg-hazard-1 surface, the tsg-status-1 fleet file, the
-#     members' own status counters (per run, not fleet totals), and
-#     the tsg-fleetperf-1 roll-up (+ member tsg-perf-1 drill-down),
+#     SimulationAssets build), with the fleet status roll-up on,
+#  2. assert the tsg-hazard-1 surface, the tsg-status-1 fleet file and
+#     the members' own status counters (per run, not fleet totals),
 #  3. re-run one expanded member config through the standalone CLI and
 #     assert its receiver CSVs are byte-identical to the ensemble's,
 #  4. SIGKILL a second ensemble mid-run, re-launch it (auto-resume from
@@ -35,7 +36,6 @@ degree = 2
 end_time = 0.4
 snapshots = 1
 vtk_output = false
-deterministic = true
 checkpoint_interval = 0.1
 output_prefix = $1
 
@@ -52,11 +52,28 @@ values = 0, 8
 EOF
 }
 
-# ---- 1. clean 4-member sweep ----------------------------------------
-# --fleet-perf: every member runs with the perf monitor on top of the
-# physics being validated.
+# ---- 0. dry-run validation and removed options ----------------------
 sweep_cfg ens > sweep.cfg
-"$ENSEMBLE" --status --fleet-perf sweep.cfg > ens.out 2>&1 \
+{ sweep_cfg bad; printf '\n[[sweep]]\nkey    = threads\nvalues = 1, -1\n'; } \
+  > bad_threads.cfg
+"$ENSEMBLE" --dry-run bad_threads.cfg > dry_bad.out 2>&1
+rc=$?
+[ "$rc" -eq 2 ] || { cat dry_bad.out >&2; fail "--dry-run with threads = -1: exit $rc, expected 2"; }
+grep -q "threads must be >= 0" dry_bad.out \
+  || { cat dry_bad.out >&2; fail "--dry-run did not name the bad threads value"; }
+"$ENSEMBLE" --dry-run sweep.cfg > dry_ok.out 2>&1 \
+  || { cat dry_ok.out >&2; fail "--dry-run of the valid sweep failed"; }
+for opt in --fleet-perf --no-share-assets; do
+  "$ENSEMBLE" "$opt" --dry-run sweep.cfg > removed.out 2>&1
+  rc=$?
+  [ "$rc" -eq 2 ] || { cat removed.out >&2; fail "$opt: exit $rc, expected 2"; }
+  grep -q "unknown option" removed.out \
+    || { cat removed.out >&2; fail "$opt not reported as an unknown option"; }
+done
+echo "dry-run validation + removed options: OK"
+
+# ---- 1. clean 4-member sweep ----------------------------------------
+"$ENSEMBLE" --status sweep.cfg > ens.out 2>&1 \
   || { cat ens.out >&2; fail "ensemble run failed"; }
 
 # ---- 2. hazard surface + fleet status schemas -----------------------
@@ -87,7 +104,7 @@ s = json.load(open("ens_fleet_status.json"))
 assert s["schema"] == "tsg-status-1", s["schema"]
 assert s["state"] == "done" and s["members_done"] == 4, s
 assert len(s["members"]) == 4
-assert s["fleet_perf"] == "ens_fleet_perf.json", s.get("fleet_perf")
+assert "fleet_perf" not in s, s
 
 # Each member's heartbeat counts that member alone: 42 macro cycles and
 # 4 checkpoints (end_time 0.4, checkpoint_interval 0.1), whatever the
@@ -96,32 +113,7 @@ for k in range(4):
     c = json.load(open(f"ens_member_{k}_status.json"))["counters"]
     assert c["solver.macro_cycles"] == 42, (k, c)
     assert c["checkpoint.saves"] == 4, (k, c)
-
-# Fleet perf roll-up: quantiles over all 4 members' phase stats, both
-# time bases, and the asset-cache economics.
-fp = json.load(open("ens_fleet_perf.json"))
-assert fp["schema"] == "tsg-fleetperf-1", fp["schema"]
-assert fp["members_total"] == 4 and fp["members_ok"] == 4, fp
-assert fp["members_with_perf"] == 4, fp["members_with_perf"]
-assert fp["asset_cache"]["builds"] == 1, fp["asset_cache"]
-assert fp["asset_cache"]["hits"] == 3, fp["asset_cache"]
-phases = {p["phase"]: p for p in fp["phases"]}
-assert "predictor" in phases and "corrector" in phases, phases.keys()
-for p in phases.values():
-    assert p["members"] == 4, p
-    for base in ("busy_seconds", "wall_seconds"):
-        q = p[base]
-        assert q["min"] <= q["median"] <= q["max"], (p["phase"], base, q)
-assert phases["predictor"]["busy_seconds"]["max"] > 0
-for m in fp["members"]:
-    assert m["ok"] and m["kernel_busy_seconds"] > 0, m
-    # The referenced drill-down report exists and is the member's own.
-    rep = json.load(open(m["perf_report"]))
-    assert rep["schema"] == "tsg-perf-1", m["perf_report"]
-    assert rep["total"]["busy_seconds"] > 0, m["perf_report"]
-    assert "wall_seconds" in rep["total"], m["perf_report"]
-print("hazard + fleet status + fleet perf OK: 4/4 members, "
-      "1 asset build, 3 hits")
+print("hazard + fleet status OK: 4/4 members, 1 asset build, 3 hits")
 EOF
 
 # ---- 3. member == standalone CLI, byte for byte ---------------------

@@ -55,7 +55,6 @@ end_time            = 10.0         # [s], > 0
 output_prefix       = run
 vtk_output          = true         # write wavefield + sea-surface VTK at the end
 lts                 = true         # rate-2 clustered local time stepping
-deterministic       = false        # bitwise-reproducible stepping across thread counts
 snapshots           = 4            # progress reports over the run (>= 1)
 # --- operating long runs (see README "Operating long runs") ---
 checkpoint_interval = 0            # [s] of simulated time between checkpoints; 0 = off

@@ -3,10 +3,9 @@
 // aggregate the receiver summaries into one hazard-surface JSON.
 //
 // Usage:
-//   tsunamigen_ensemble [--workers=N] [--status[=path]]
-//                       [--fleet-perf[=path]] [--no-resume]
-//                       [--no-share-assets] [--dry-run]
-//                       [--log-level=<lvl>] [--log-json] <sweep-config>
+//   tsunamigen_ensemble [--workers=N] [--status[=path]] [--no-resume]
+//                       [--dry-run] [--log-level=<lvl>] [--log-json]
+//                       <sweep-config>
 //   tsunamigen_ensemble --example-config   (prints a template and exits)
 //
 // The sweep config is an ordinary run config plus [[sweep]] sections
@@ -17,10 +16,8 @@
 //   <prefix>_hazard.json           the "tsg-hazard-1" aggregate
 // and, with --status, a fleet-level "tsg-status-1" roll-up (default
 // <prefix>_fleet_status.json) plus per-member heartbeats.
-// --fleet-perf enables each member's perf monitor and aggregates the
-// per-phase measurements into a "tsg-fleetperf-1" roll-up (default
-// <prefix>_fleet_perf.json; per-member tsg-perf-1 files stay on disk
-// for drill-down).
+// --dry-run prints the expanded members and validates each member's run
+// options as a real run would, without writing or running anything.
 //
 // Every member config is a self-contained standalone run:
 // `tsunamigen_cli <prefix>_member_<k>.cfg` reproduces the member's
@@ -41,6 +38,7 @@
 #include "ensemble/ensemble_runner.hpp"
 #include "ensemble/hazard_aggregator.hpp"
 #include "ensemble/sweep_expansion.hpp"
+#include "runner/run_pipeline.hpp"
 #include "telemetry/logging.hpp"
 
 using namespace tsg;
@@ -73,13 +71,13 @@ values = true, false
 )";
 
 int run(const std::string& configPath, int workersOverride,
-        const std::string& statusRequest, const std::string& fleetPerfRequest,
-        bool autoResume, bool shareAssets, bool dryRun) {
+        const std::string& statusRequest, bool autoResume, bool dryRun) {
   const ConfigFile cfg = ConfigFile::load(configPath);
   EnsemblePlan plan = expandSweep(cfg);
 
   if (dryRun) {
     for (const EnsembleMember& m : plan.members) {
+      readRunOptions(ConfigFile::parse(m.configText));
       std::printf("member %d -> %s\n", m.index, m.configPath.c_str());
       for (const auto& [key, value] : m.overrides) {
         std::printf("    %s = %s\n", key.c_str(), value.c_str());
@@ -93,16 +91,10 @@ int run(const std::string& configPath, int workersOverride,
   EnsembleOptions opts;
   opts.workers = workersOverride;
   opts.autoResume = autoResume;
-  opts.shareAssets = shareAssets;
   if (!statusRequest.empty()) {
     opts.statusPath = statusRequest == "*"
                           ? plan.prefix + "_fleet_status.json"
                           : statusRequest;
-  }
-  if (!fleetPerfRequest.empty()) {
-    opts.fleetPerfPath = fleetPerfRequest == "*"
-                             ? plan.prefix + "_fleet_perf.json"
-                             : fleetPerfRequest;
   }
 
   const EnsembleResult result = runEnsemble(plan, opts);
@@ -128,10 +120,9 @@ int run(const std::string& configPath, int workersOverride,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string configPath, statusRequest, fleetPerfRequest;
+  std::string configPath, statusRequest;
   int workersOverride = 0;
   bool autoResume = true;
-  bool shareAssets = true;
   bool dryRun = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -152,16 +143,8 @@ int main(int argc, char** argv) {
       statusRequest = "*";  // resolved to <prefix>_fleet_status.json
     } else if (arg.rfind("--status=", 0) == 0) {
       statusRequest = arg.substr(std::strlen("--status="));
-    } else if (arg == "--fleet-perf") {
-      fleetPerfRequest = "*";  // resolved to <prefix>_fleet_perf.json
-    } else if (arg.rfind("--fleet-perf=", 0) == 0) {
-      fleetPerfRequest = arg.substr(std::strlen("--fleet-perf="));
     } else if (arg == "--no-resume") {
       autoResume = false;
-    } else if (arg == "--no-share-assets") {
-      // Every member builds private assets (the baseline of the
-      // asset-reuse measurements; not for production use).
-      shareAssets = false;
     } else if (arg == "--dry-run") {
       dryRun = true;
     } else if (arg == "--log-json") {
@@ -189,16 +172,15 @@ int main(int argc, char** argv) {
   }
   if (configPath.empty()) {
     std::fprintf(stderr,
-                 "usage: %s [--workers=N] [--status[=path]] "
-                 "[--fleet-perf[=path]] [--no-resume] "
-                 "[--no-share-assets] [--dry-run] [--log-level=<lvl>] "
-                 "[--log-json] <sweep-config>\n       %s --example-config\n",
+                 "usage: %s [--workers=N] [--status[=path]] [--no-resume] "
+                 "[--dry-run] [--log-level=<lvl>] [--log-json] "
+                 "<sweep-config>\n       %s --example-config\n",
                  argv[0], argv[0]);
     return 2;
   }
   try {
-    return run(configPath, workersOverride, statusRequest, fleetPerfRequest,
-               autoResume, shareAssets, dryRun);
+    return run(configPath, workersOverride, statusRequest, autoResume,
+               dryRun);
   } catch (const ConfigError& e) {
     logError("config_error", std::string("configuration error: ") + e.what());
     return 2;
