@@ -7,15 +7,12 @@
 
 namespace tsg {
 
-void BatchedBackend::prepare() {
-  if (ba_) {
-    return;
-  }
-  // Fetched lazily at the first advance.  The batching is cached per
-  // batch size inside SimulationAssets and shared across all runs on the
-  // same assets; its operands view the assets' single copy.
-  ba_ = s_.assets->batchedAssets(s_.cfg->batchSize);
-}
+BatchedBackend::BatchedBackend(SolverState& state)
+    : KernelBackend(state),
+      ba_(state.assets->batchedAssets(state.cfg->batchSize)),
+      tileScratchSize_(static_cast<std::size_t>(state.cfg->degree + 3) *
+                       state.assets->rm.nb * kNumQuantities *
+                       ba_->layout.batchSize()) {}
 
 void BatchedBackend::runPredictorTile(int cluster, std::size_t tile,
                                       bool resetBuffer) {
@@ -28,14 +25,14 @@ void BatchedBackend::runCorrectorTile(int cluster, std::size_t tile,
 }
 
 void BatchedBackend::predictorBatch(const ElementBatch& batch, bool reset) {
-  const ReferenceMatrices& rm = *s_.rm;
-  const ClusterLayout& clusters = *s_.clusters;
+  const SimulationAssets& a = *s_.assets;
+  const ReferenceMatrices& rm = a.rm;
   const BatchedAssets& ba = *ba_;
   const int width = batch.width;
   const int ld = kNumQuantities * ba.layout.batchSize();
   const int* elems = ba.layout.elements().data() + batch.begin;
   const std::size_t tileSize = static_cast<std::size_t>(rm.nb) * ld;
-  real* stackTiles = backendThreadScratch(1, ba.batchScratchSize);
+  real* stackTiles = backendThreadScratch(1, tileScratchSize_);
   real* scratchTile = stackTiles + (s_.cfg->degree + 1) * tileSize;
   real* tIntTile = scratchTile + tileSize;
   const real* negStarTB =
@@ -43,10 +40,10 @@ void BatchedBackend::predictorBatch(const ElementBatch& batch, bool reset) {
       static_cast<std::size_t>(batch.begin) * 3 * kNumQuantities *
           kNumQuantities;
 
-  gatherTile(s_.dofs.data(), elems, width, rm.nb, s_.nbq, ld, stackTiles);
+  gatherTile(s_.dofs.data(), elems, width, rm.nb, a.nbq, ld, stackTiles);
   batchedAderPredictor(rm, negStarTB, stackTiles, scratchTile, width, ld);
   const real dt =
-      clusters.dtMin * static_cast<real>(clusters.spanOf(batch.cluster));
+      a.clusters.dtMin * static_cast<real>(a.clusters.spanOf(batch.cluster));
   batchedTaylorIntegrate(rm, stackTiles, 0.0, dt, tIntTile, width, ld);
 
   // Scatter the time integral for every lane, but the derivative stack
@@ -55,13 +52,13 @@ void BatchedBackend::predictorBatch(const ElementBatch& batch, bool reset) {
   // stack lives and dies in the tiles.
   for (int lane = 0; lane < width; ++lane) {
     const int e = elems[lane];
-    if (!ba.stackNeeded[e]) {
+    if (!a.stackNeeded[e]) {
       continue;
     }
     for (int k = 0; k <= s_.cfg->degree; ++k) {
       const real* tile = stackTiles + static_cast<std::size_t>(k) * tileSize +
                          static_cast<std::size_t>(lane) * kNumQuantities;
-      real* dst = s_.stackOf(e) + static_cast<std::size_t>(k) * s_.nbq;
+      real* dst = s_.stackOf(e) + static_cast<std::size_t>(k) * a.nbq;
       for (int l = 0; l < rm.nb; ++l) {
         std::memcpy(dst + static_cast<std::size_t>(l) * kNumQuantities,
                     tile + static_cast<std::size_t>(l) * ld,
@@ -69,11 +66,11 @@ void BatchedBackend::predictorBatch(const ElementBatch& batch, bool reset) {
       }
     }
   }
-  scatterTile(tIntTile, elems, width, rm.nb, s_.nbq, ld, s_.tInt.data());
+  scatterTile(tIntTile, elems, width, rm.nb, a.nbq, ld, s_.tInt.data());
 
   for (int lane = 0; lane < width; ++lane) {
     const int e = elems[lane];
-    if (s_.hasCoarserNeighbor[e]) {
+    if (a.hasCoarserNeighbor[e]) {
       s_.accumulateLtsBuffer(e, reset);
     }
   }
@@ -81,8 +78,9 @@ void BatchedBackend::predictorBatch(const ElementBatch& batch, bool reset) {
 
 void BatchedBackend::correctorBatch(const ElementBatch& batch,
                                     std::int64_t tick) {
-  const ReferenceMatrices& rm = *s_.rm;
-  const ClusterLayout& clusters = *s_.clusters;
+  const SimulationAssets& a = *s_.assets;
+  const ReferenceMatrices& rm = a.rm;
+  const ClusterLayout& clusters = a.clusters;
   const BatchedAssets& ba = *ba_;
   const int c = batch.cluster;
   const std::int64_t span = clusters.spanOf(c);
@@ -92,8 +90,13 @@ void BatchedBackend::correctorBatch(const ElementBatch& batch,
   const int* elems = ba.layout.elements().data() + batch.begin;
   const std::size_t tileSize = static_cast<std::size_t>(rm.nb) * ld;
   const int stride = kNumQuantities * kNumQuantities;
+  // The batch's face records and operand slots, [lane*4 + f].
+  const std::size_t firstFace = static_cast<std::size_t>(batch.begin) * 4;
+  const FaceRecord* faces = a.faceTable.data() + firstFace;
+  const real* negFluxMinusTB = ba.negFluxMinusTB.data() + firstFace * stride;
+  const real* negFluxPlusTB = ba.negFluxPlusTB.data() + firstFace * stride;
 
-  real* dofTile = backendThreadScratch(1, ba.batchScratchSize);
+  real* dofTile = backendThreadScratch(1, tileScratchSize_);
   real* tIntTile = dofTile + tileSize;
   real* faceScratch = tIntTile + tileSize;
   // Fourth scratch tile (degree >= 1, enforced by referenceMatrices,
@@ -107,19 +110,20 @@ void BatchedBackend::correctorBatch(const ElementBatch& batch,
   nbrLanes.resize(ba.layout.batchSize());
   // Per-element scratch (neighbour integrals, gravity/rupture traces) --
   // same regions as the reference corrector.
-  real* scratch = backendThreadScratch(0, s_.scratchSize);
-  real* scratchBig = scratch + 2 * s_.nbq;
-  real* fluxQp = scratchBig +
-                 2 * static_cast<std::size_t>(s_.cfg->degree + 1) * rm.nq *
-                     kNumQuantities;
+  real* scratch = backendThreadScratch(0, a.scratchSize);
+  real* scratchBig = scratch + 2 * a.nbq;
 
-  gatherTile(s_.dofs.data(), elems, width, rm.nb, s_.nbq, ld, dofTile);
-  gatherTile(s_.tInt.data(), elems, width, rm.nb, s_.nbq, ld, tIntTile);
+  gatherTile(s_.dofs.data(), elems, width, rm.nb, a.nbq, ld, dofTile);
+  gatherTile(s_.tInt.data(), elems, width, rm.nb, a.nbq, ld, tIntTile);
 
   const real* starTB =
       ba.starTB.data() + static_cast<std::size_t>(batch.begin) * 3 * stride;
   batchedVolumeKernel(rm, starTB, tIntTile, dofTile, faceScratch, width, ld);
 
+  const auto usesFluxMatrix = [&](int lane, int f) {
+    const FaceKind kind = faces[lane * 4 + f].kind;
+    return kind == FaceKind::kRegular || kind == FaceKind::kBoundaryFolded;
+  };
   for (int f = 0; f < 4; ++f) {
     // (a) Per-lane pre-pass: stage the flux-solver products of regular /
     // folded-boundary faces into the face scratch tile; apply pointwise
@@ -127,54 +131,24 @@ void BatchedBackend::correctorBatch(const ElementBatch& batch,
     // accumulation sequence is exactly here, matching the reference).
     zeroTile(faceScratch, rm.nb, kNumQuantities * width, ld);
     for (int lane = 0; lane < width; ++lane) {
-      const BatchFaceInfo& info =
-          ba.batchFaces[(static_cast<std::size_t>(batch.begin) + lane) * 4 + f];
-      real* laneDofs =
-          dofTile + static_cast<std::size_t>(lane) * kNumQuantities;
+      const FaceRecord& face = faces[lane * 4 + f];
       negFluxPtrs[lane] = nullptr;
-      switch (info.kind) {
-        case FaceKind::kRegular:
-        case FaceKind::kBoundaryFolded: {
-          // Pre-negated flux-solver matrix, the same operand the
-          // reference backend reads (SimulationAssets::negFluxMinusTB).
-          negFluxPtrs[lane] =
-              ba.negFluxMinusTB.data() +
-              ((static_cast<std::size_t>(batch.begin) + lane) * 4 + f) *
-                  stride;
-          break;
-        }
-        case FaceKind::kGravity:
-          s_.gravity->computeFlux(info.aux, rm, s_.stackOf(elems[lane]), dt,
-                                  fluxQp, scratchBig);
-          surfaceKernelPointwiseStrided(rm, rm.faceEvalTW[f], info.scale,
-                                        fluxQp, laneDofs, ld);
-          break;
-        case FaceKind::kRuptureMinus: {
-          const real* staged = s_.ruptureFlux.data() +
-                               static_cast<std::size_t>(info.aux) * 2 *
-                                   rm.nq * kNumQuantities;
-          surfaceKernelPointwiseStrided(rm, rm.faceEvalTW[f], info.scale,
-                                        staged, laneDofs, ld);
-          break;
-        }
-        case FaceKind::kRupturePlus: {
-          const FaultFace& ff = s_.fault->faceAt(info.aux);
-          const real* staged =
-              s_.ruptureFlux.data() +
-              (static_cast<std::size_t>(info.aux) * 2 + 1) * rm.nq *
-                  kNumQuantities;
-          surfaceKernelPointwiseStrided(
-              rm,
-              rm.faceEvalNeighborTW[ff.minusFace][ff.plusFace][ff.permutation],
-              info.scale, staged, laneDofs, ld);
-          break;
-        }
+      if (usesFluxMatrix(lane, f)) {
+        // Pre-negated flux-solver matrix, the same operand the
+        // reference backend reads (SimulationAssets::negFluxMinusTB).
+        negFluxPtrs[lane] =
+            negFluxMinusTB + static_cast<std::size_t>(lane * 4 + f) * stride;
+      } else {
+        s_.applyPointwiseFace(
+            face, elems[lane], f, dt,
+            dofTile + static_cast<std::size_t>(lane) * kNumQuantities, ld,
+            scratchBig);
       }
 
       // Seafloor uplift recorder (identical to the reference corrector;
       // reads only this element's time integral).
-      if (info.seafloor >= 0) {
-        s_.recordSeafloorUplift(info.seafloor, elems[lane], f);
+      if (face.seafloor >= 0) {
+        s_.recordSeafloorUplift(face.seafloor, elems[lane], f);
       }
     }
     batchedLocalFluxStage(rm.nb, width, ld, tIntTile, negFluxPtrs.data(),
@@ -184,19 +158,12 @@ void BatchedBackend::correctorBatch(const ElementBatch& batch,
     // dofs -= fluxLocal[f] * staged flux products.
     int lane = 0;
     while (lane < width) {
-      const auto kindOf = [&](int l) {
-        return ba.batchFaces[(static_cast<std::size_t>(batch.begin) + l) * 4 +
-                             f]
-            .kind;
-      };
-      if (kindOf(lane) != FaceKind::kRegular &&
-          kindOf(lane) != FaceKind::kBoundaryFolded) {
+      if (!usesFluxMatrix(lane, f)) {
         ++lane;
         continue;
       }
       int end = lane + 1;
-      while (end < width && (kindOf(end) == FaceKind::kRegular ||
-                             kindOf(end) == FaceKind::kBoundaryFolded)) {
+      while (end < width && usesFluxMatrix(end, f)) {
         ++end;
       }
       gemmBasisTile(
@@ -211,40 +178,36 @@ void BatchedBackend::correctorBatch(const ElementBatch& batch,
     // lane's contiguous coarseInt slot), then run the whole batch through
     // one fused per-lane GEMM pass.
     for (int lane2 = 0; lane2 < width; ++lane2) {
-      const BatchFaceInfo& info =
-          ba.batchFaces[(static_cast<std::size_t>(batch.begin) + lane2) * 4 +
-                        f];
+      const FaceRecord& face = faces[lane2 * 4 + f];
       NeighborFluxLane& ln = nbrLanes[lane2];
-      if (info.kind != FaceKind::kRegular) {
+      if (face.kind != FaceKind::kRegular) {
         ln.src = nullptr;
         continue;
       }
-      if (info.relation == 0) {
-        ln.src = s_.tIntOf(info.neighbor);
-      } else if (info.relation == 1) {
+      if (face.relation == 0) {
+        ln.src = s_.tIntOf(face.neighbor);
+      } else if (face.relation == 1) {
         // Coarser neighbour: integrate its Taylor expansion over our
         // sub-interval of its (rate times as long) timestep.
         const std::int64_t rel = (tick - span) % (span * clusters.rate);
         const real off = clusters.dtMin * static_cast<real>(rel);
-        real* slot = coarseInt + static_cast<std::size_t>(lane2) * s_.nbq;
-        taylorIntegrate(rm, s_.stackOf(info.neighbor), off, off + dt, slot);
+        real* slot = coarseInt + static_cast<std::size_t>(lane2) * a.nbq;
+        taylorIntegrate(rm, s_.stackOf(face.neighbor), off, off + dt, slot);
         ln.src = slot;
       } else {
         // Finer neighbour: its buffer accumulated both sub-intervals.
-        ln.src = s_.buffer.data() +
-                 static_cast<std::size_t>(info.neighbor) * s_.nbq;
+        ln.src = s_.bufferOf(face.neighbor);
       }
       ln.negFluxPlusT =
-          ba.negFluxPlusTB.data() +
-          ((static_cast<std::size_t>(batch.begin) + lane2) * 4 + f) * stride;
+          negFluxPlusTB + static_cast<std::size_t>(lane2 * 4 + f) * stride;
       ln.fluxNeighbor =
-          rm.fluxNeighbor[f][info.neighborFace][info.permutation].data();
+          rm.fluxNeighbor[f][face.neighborFace][face.permutation].data();
     }
     batchedNeighborFluxStage(rm.nb, width, ld, nbrLanes.data(), scratch,
                              dofTile);
   }
 
-  scatterTile(dofTile, elems, width, rm.nb, s_.nbq, ld, s_.dofs.data());
+  scatterTile(dofTile, elems, width, rm.nb, a.nbq, ld, s_.dofs.data());
 
   // Receivers hosted by elements of this batch: sample at the interval end.
   for (int lane = 0; lane < width; ++lane) {

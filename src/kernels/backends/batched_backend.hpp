@@ -6,11 +6,11 @@
 // pipeline is bitwise-identical to the reference backend (pinned by
 // tests/test_batched_kernels.cpp).
 //
-// The operand tensors (star matrices and negated star/flux matrices) are
-// stored once in SimulationAssets, already in cluster order; the batching
-// for one batch size (layout, batch-ordered faces, scratch size) comes
-// from SimulationAssets::batchedAssets(batchSize), cached per batch size
-// and const-shared.  This backend only holds a reference.
+// The operand tensors (star matrices and negated star/flux matrices) and
+// the face table are stored once in SimulationAssets, already in cluster
+// order; the batch layout for the run's batch size comes from
+// SimulationAssets::batchedAssets(batchSize), cached per batch size and
+// const-shared, and is fetched when the backend is constructed.
 
 #include <cstdint>
 #include <memory>
@@ -24,11 +24,9 @@ namespace tsg {
 
 class BatchedBackend : public KernelBackend {
  public:
-  explicit BatchedBackend(SolverState& state) : KernelBackend(state) {}
+  explicit BatchedBackend(SolverState& state);
 
   const char* name() const override { return "batched"; }
-
-  void prepare() override;
 
   std::size_t numTiles(int cluster) const override {
     return static_cast<std::size_t>(ba_->layout.endBatchOfCluster(cluster) -
@@ -47,14 +45,9 @@ class BatchedBackend : public KernelBackend {
                         std::int64_t tick) override;
 
   const ClusterBatchLayout* batchLayout() const override {
-    return ba_ ? &ba_->layout : nullptr;
+    return &ba_->layout;
   }
-  int reportBatchSize() const override {
-    return ba_ ? ba_->layout.batchSize()
-               : (s_.cfg->batchSize > 0
-                      ? s_.cfg->batchSize
-                      : autoBatchSize(s_.rm->nb, s_.cfg->degree));
-  }
+  int reportBatchSize() const override { return ba_->layout.batchSize(); }
 
  private:
   void predictorBatch(const ElementBatch& batch, bool reset);
@@ -64,8 +57,10 @@ class BatchedBackend : public KernelBackend {
                                  static_cast<int>(tile)];
   }
 
-  // Shared batched operand tensors (null until prepare()).
+  // Shared batch layout and operand views of the run's batch size.
   std::shared_ptr<const BatchedAssets> ba_;
+  // Tile scratch of the pipeline ((degree+3) tiles of nb*9*batchSize).
+  std::size_t tileScratchSize_ = 0;
 };
 
 }  // namespace tsg

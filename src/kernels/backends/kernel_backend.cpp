@@ -23,13 +23,14 @@ real* backendThreadScratch(int slot, std::size_t size) {
 }
 
 void KernelBackend::stageRuptureFace(int face, real dt, real stepStartTime) {
+  const SimulationAssets& a = *s_.assets;
   const FaultFace& ff = s_.fault->faceAt(face);
-  real* scratch = backendThreadScratch(0, s_.scratchSize);
-  real* traces = scratch + 2 * s_.nbq;
+  real* scratch = backendThreadScratch(0, a.scratchSize);
+  real* traces = scratch + 2 * a.nbq;
   real* fm = s_.ruptureFlux.data() +
-             static_cast<std::size_t>(face) * 2 * s_.rm->nq * kNumQuantities;
-  real* fp = fm + s_.rm->nq * kNumQuantities;
-  s_.fault->computeFluxes(face, *s_.rm, s_.stackOf(ff.minusElem),
+             static_cast<std::size_t>(face) * 2 * a.rm.nq * kNumQuantities;
+  real* fp = fm + a.rm.nq * kNumQuantities;
+  s_.fault->computeFluxes(face, a.rm, s_.stackOf(ff.minusElem),
                           s_.stackOf(ff.plusElem), dt, stepStartTime, fm, fp,
                           traces);
 }

@@ -2,10 +2,13 @@
 
 // KernelBackend: the stage-execution layer of the solver.  A backend owns
 // the predictor / volume / surface / corrector stage implementations over
-// whatever data layout it chooses (per-element blocks, cluster-contiguous
-// tiles, ...); the ClusterScheduler (src/solver/cluster_scheduler.*) owns
-// the LTS macro-cycle ordering and calls back into the backend per
-// independent work item ("tile").
+// its tiling of each cluster (one element, or one cluster-contiguous
+// batch); the ClusterScheduler (src/solver/cluster_scheduler.*) owns the
+// LTS macro-cycle ordering and calls back into the backend per
+// independent work item ("tile").  The tiling is fixed when the backend
+// is constructed.  Every backend reads the static operands and the face
+// table of SimulationAssets in the same cluster order, and writes the
+// per-run arrays of SolverState.
 //
 // Backends:
 //  * reference -- one element per tile, the readable per-element oracle;
@@ -27,10 +30,6 @@ class KernelBackend {
 
   /// Canonical name: "reference" | "batched".
   virtual const char* name() const = 0;
-
-  /// Build layout-dependent data.  Called at the start of every
-  /// advance; must be idempotent and cheap when already prepared.
-  virtual void prepare() {}
 
   /// Number of independent work items for one stage pass over cluster c.
   /// The scheduler's ThreadPlan slices [0, numTiles) into per-thread

@@ -15,11 +15,11 @@ class ReferenceBackend : public KernelBackend {
   const char* name() const override { return "reference"; }
 
   std::size_t numTiles(int cluster) const override {
-    return s_.clusters->elementsOfCluster[cluster].size();
+    return s_.assets->clusters.elementsOfCluster[cluster].size();
   }
   void appendTileElements(int cluster, std::size_t tile,
                           std::vector<int>& out) const override {
-    out.push_back(s_.clusters->elementsOfCluster[cluster][tile]);
+    out.push_back(s_.assets->clusters.elementsOfCluster[cluster][tile]);
   }
   void runPredictorTile(int cluster, std::size_t tile,
                         bool resetBuffer) override;

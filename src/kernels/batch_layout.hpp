@@ -55,12 +55,6 @@ class ClusterBatchLayout {
   /// Half-open range [first, last) into batches() for cluster c.
   int firstBatchOfCluster(int c) const { return clusterBatchBegin_[c]; }
   int endBatchOfCluster(int c) const { return clusterBatchBegin_[c + 1]; }
-  /// Position of element `elements()[i]` within the cluster-contiguous
-  /// ordering (identity by construction; exposed for clarity in callers
-  /// that index batch-ordered side arrays).
-  int orderedIndex(int batchIdx, int lane) const {
-    return batches_[batchIdx].begin + lane;
-  }
 
  private:
   int batchSize_ = 0;

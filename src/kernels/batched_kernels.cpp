@@ -319,8 +319,7 @@ void surfaceKernelPointwiseStrided(const ReferenceMatrices& rm,
                                    const Matrix& testTW, real scale,
                                    const real* fluxQP, real* dofs, int ldc) {
   // dofs -= scale * testTW (nb x nq) * fluxQP (nq x 9): fold sign and
-  // scale into a temporary copy of fluxQP (identical to the contiguous
-  // surfaceKernelPointwise, which forwards here with ldc = 9).
+  // scale into a temporary copy of fluxQP.
   withDegree(rm.nb, [&](auto d) {
     surfaceKernel<decltype(d)::value>(testTW, scale, fluxQP, dofs, ldc);
   });

@@ -77,9 +77,11 @@ void batchedNeighborFluxStage(int nb, int width, int ld,
                               const NeighborFluxLane* lanes, real* scratch,
                               real* dofTile);
 
-/// dofs -= scale * testTW * fluxQP with an explicit output leading
-/// dimension (the strided form of surfaceKernelPointwise, for writing
-/// gravity/rupture fluxes into a DOF tile lane).
+/// dofs -= scale * testTW * fluxQP, where testTW is [nb x nq] (a weighted
+/// test trace), fluxQP is [nq x 9] (per-quadrature-point time-integrated
+/// fluxes), scale is the face's area/volume ratio and dofs has leading
+/// dimension ldc (9 for an element block, 9 * batch for a tile lane).
+/// Used by gravity and rupture faces in both backends.
 void surfaceKernelPointwiseStrided(const ReferenceMatrices& rm,
                                    const Matrix& testTW, real scale,
                                    const real* fluxQP, real* dofs, int ldc);

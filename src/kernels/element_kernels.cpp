@@ -5,7 +5,6 @@
 
 #include "common/flops.hpp"
 #include "common/matrix.hpp"
-#include "kernels/batched_kernels.hpp"
 
 namespace tsg {
 
@@ -56,24 +55,6 @@ void taylorIntegrate(const ReferenceMatrices& rm, const real* stack, real a,
   countFlops(static_cast<std::uint64_t>(2 * nbq) * (rm.degree + 1));
 }
 
-void taylorEvaluate(const ReferenceMatrices& rm, const real* stack, real tau,
-                    real* out) {
-  const int nbq = dofCount(rm);
-  std::memset(out, 0, sizeof(real) * nbq);
-  real p = 1.0;
-  real factorial = 1.0;
-  for (int k = 0; k <= rm.degree; ++k) {
-    const real w = p / factorial;
-    const real* coeff = stack + static_cast<std::size_t>(k) * nbq;
-    for (int i = 0; i < nbq; ++i) {
-      out[i] += w * coeff[i];
-    }
-    p *= tau;
-    factorial *= (k + 1);
-  }
-  countFlops(static_cast<std::uint64_t>(2 * nbq) * (rm.degree + 1));
-}
-
 void volumeKernel(const ReferenceMatrices& rm, const real* starT,
                   const real* tInt, real* dofs, real* scratch) {
   const int nbq = dofCount(rm);
@@ -92,12 +73,6 @@ void surfaceKernel(const ReferenceMatrices& rm, const Matrix& faceMatrix,
   gemmAccRaw(rm.nb, kNumQuantities, kNumQuantities, tIntSrc, negFluxT,
              scratch);
   gemmAccRaw(rm.nb, kNumQuantities, rm.nb, faceMatrix.data(), scratch, dofs);
-}
-
-void surfaceKernelPointwise(const ReferenceMatrices& rm, const Matrix& testTW,
-                            real scale, const real* fluxQP, real* dofs) {
-  surfaceKernelPointwiseStrided(rm, testTW, scale, fluxQP, dofs,
-                                kNumQuantities);
 }
 
 std::uint64_t aderPredictorFlops(const ReferenceMatrices& rm) {

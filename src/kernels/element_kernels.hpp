@@ -34,10 +34,6 @@ void aderPredictor(const ReferenceMatrices& rm, const real* starT,
 void taylorIntegrate(const ReferenceMatrices& rm, const real* stack, real a,
                      real b, real* out);
 
-/// out = Taylor(stack)(tau).
-void taylorEvaluate(const ReferenceMatrices& rm, const real* stack, real tau,
-                    real* out);
-
 /// dofs += sum_c kXi[c] * tInt * starT[c]  (volume corrector term).
 /// `scratch` must hold nb*9 reals.
 void volumeKernel(const ReferenceMatrices& rm, const real* starT,
@@ -51,13 +47,6 @@ void volumeKernel(const ReferenceMatrices& rm, const real* starT,
 void surfaceKernel(const ReferenceMatrices& rm, const Matrix& faceMatrix,
                    const real* negFluxT, const real* tIntSrc, real* dofs,
                    real* scratch);
-
-/// dofs -= scale * testTW * fluxQP, where testTW is [nb x nq] (a weighted
-/// test trace), fluxQP is [nq x 9] (per-quadrature-point time-integrated
-/// fluxes) and scale is the face's area/volume ratio.  Used by gravity and
-/// rupture faces.
-void surfaceKernelPointwise(const ReferenceMatrices& rm, const Matrix& testTW,
-                            real scale, const real* fluxQP, real* dofs);
 
 /// FLOPs of one predictor call (for the performance model).
 std::uint64_t aderPredictorFlops(const ReferenceMatrices& rm);

@@ -9,19 +9,10 @@ namespace tsg {
 
 void ClusterScheduler::ensurePlan() {
   const int threads = std::max(1, omp_get_max_threads());
-  const int nc = s_.clusters->numClusters;
-  std::vector<std::size_t> tilesNow(nc);
-  for (int c = 0; c < nc; ++c) {
-    tilesNow[c] = backend_.numTiles(c);
-  }
-  const std::int64_t faultFaces = s_.fault ? s_.fault->numFaces() : 0;
-  if (plan_.threads() == threads && planTiles_ == tilesNow &&
-      planFaultFaces_ == faultFaces) {
+  if (plan_.threads() == threads) {
     return;
   }
-  plan_ = buildThreadPlan(threads, s_, backend_);
-  planTiles_ = std::move(tilesNow);
-  planFaultFaces_ = faultFaces;
+  plan_ = buildThreadPlan(threads, *s_.assets, backend_);
 
   workerCpus_.clear();
   if (s_.cfg->pinThreads) {
@@ -32,7 +23,7 @@ void ClusterScheduler::ensurePlan() {
 void ClusterScheduler::runMacroCycle(PerfMonitor* perf) {
   ensurePlan();
 
-  const ClusterLayout& clusters = *s_.clusters;
+  const ClusterLayout& clusters = s_.assets->clusters;
   const int nc = clusters.numClusters;
   const std::int64_t ticksPerMacro = clusters.ticksPerMacro();
   const std::int64_t tick0 = tick_;
@@ -98,7 +89,7 @@ void ClusterScheduler::runMacroCycle(PerfMonitor* perf) {
           const TileRange r = plan_.faultFaces(c, tid);
           const real dt = dtMin * static_cast<real>(span);
           const real stepStart = dtMin * static_cast<real>(tEnd - span);
-          const std::vector<int>& faces = s_.faultFaceIdsOfCluster[c];
+          const std::vector<int>& faces = s_.assets->faultFaceIdsOfCluster[c];
           rec.begin();
           for (int i = r.begin; i < r.end; ++i) {
             backend_.stageRuptureFace(faces[i], dt, stepStart);
@@ -148,7 +139,7 @@ void ClusterScheduler::runMacroCycle(PerfMonitor* perf) {
 // matrices and flux solvers are shared and presumed cache-resident).
 std::uint64_t ClusterScheduler::predictorBytesPerElement() const {
   // Read dofs + starT, write derivative stack + time integral (+ buffer).
-  const std::uint64_t nbq = static_cast<std::uint64_t>(s_.nbq);
+  const std::uint64_t nbq = static_cast<std::uint64_t>(s_.assets->nbq);
   return sizeof(real) *
          (nbq + 3ull * kNumQuantities * kNumQuantities +
           nbq * (s_.cfg->degree + 1) + 2ull * nbq);
@@ -156,7 +147,7 @@ std::uint64_t ClusterScheduler::predictorBytesPerElement() const {
 
 std::uint64_t ClusterScheduler::correctorBytesPerElement() const {
   // Read tInt + starT + 8 flux solvers + 4 neighbour sources; r/w dofs.
-  const std::uint64_t nbq = static_cast<std::uint64_t>(s_.nbq);
+  const std::uint64_t nbq = static_cast<std::uint64_t>(s_.assets->nbq);
   return sizeof(real) *
          (nbq + 11ull * kNumQuantities * kNumQuantities + 4ull * nbq +
           2ull * nbq);
@@ -164,9 +155,9 @@ std::uint64_t ClusterScheduler::correctorBytesPerElement() const {
 
 std::uint64_t ClusterScheduler::ruptureBytesPerFace() const {
   // Read both derivative stacks, write both staged flux traces.
-  const std::uint64_t nbq = static_cast<std::uint64_t>(s_.nbq);
+  const std::uint64_t nbq = static_cast<std::uint64_t>(s_.assets->nbq);
   return sizeof(real) * (2ull * nbq * (s_.cfg->degree + 1) +
-                         2ull * static_cast<std::uint64_t>(s_.rm->nq) *
+                         2ull * static_cast<std::uint64_t>(s_.assets->rm.nq) *
                              kNumQuantities);
 }
 

@@ -92,8 +92,9 @@ class ClusterScheduler {
   const ThreadPlan& threadPlan() const { return plan_; }
 
  private:
-  /// (Re)build the ThreadPlan when the thread count, the backend's tile
-  /// layout, or the fault population changed since the last cycle.
+  /// (Re)build the ThreadPlan when the thread count changed since the
+  /// last cycle (the plan is otherwise a function of the assets and of
+  /// the backend's tiling, which is fixed at its construction).
   void ensurePlan();
 
   // Analytic main-memory traffic models for the perf report [bytes/elem].
@@ -107,8 +108,6 @@ class ClusterScheduler {
   std::uint64_t elementUpdates_ = 0;
 
   ThreadPlan plan_;
-  std::vector<std::size_t> planTiles_;  // per-cluster tile counts at build
-  std::int64_t planFaultFaces_ = -1;
   std::vector<int> workerCpus_;  // resolved pinning; empty = pinning off
 };
 

@@ -40,26 +40,7 @@ Simulation::Simulation(std::shared_ptr<const SimulationAssets> assets,
   const int n = a.mesh.numElements();
 
   state_.assets = &a;
-  state_.mesh = &a.mesh;
-  state_.rm = &rm_;
   state_.cfg = &cfg_;
-  state_.clusters = &a.clusters;
-  state_.nbq = nbq;
-  state_.scratchSize = a.scratchSize;
-
-  // Static data: read-only views into the shared assets.
-  state_.orderedIndexOf = ConstSpan<int>(a.orderedIndexOf);
-  state_.starTB = a.starTB;
-  state_.negFluxMinusTB = a.negFluxMinusTB;
-  state_.negFluxPlusTB = a.negFluxPlusTB;
-  state_.hasCoarserNeighbor = ConstSpan<std::uint8_t>(a.hasCoarserNeighbor);
-  state_.faceKind = ConstSpan<FaceKind>(a.faceKind);
-  state_.faceAux = ConstSpan<int>(a.faceAux);
-  state_.faceScale = ConstSpan<real>(a.faceScale);
-  state_.seafloorIndexOfFace = ConstSpan<int>(a.seafloorIndexOfFace);
-  state_.faultFacesOfCluster = ConstSpan<std::int64_t>(a.faultFacesOfCluster);
-  state_.faultFaceIdsOfCluster =
-      ConstSpan<std::vector<int>>(a.faultFaceIdsOfCluster);
 
   // Per-run evolving state.
   state_.dofs.assign(static_cast<std::size_t>(n) * nbq, 0.0);
@@ -69,7 +50,7 @@ Simulation::Simulation(std::shared_ptr<const SimulationAssets> assets,
   state_.buffer.assign(static_cast<std::size_t>(n) * nbq, 0.0);
 
   // Gravity boundary: replay the asset face list in recorded order, so
-  // the per-run face indices coincide with the precomputed faceAux.
+  // the per-run face indices coincide with the face table's aux values.
   if (cfg_.gravity > 0) {
     gravity_ = std::make_unique<GravityBoundary>(cfg_.degree, cfg_.gravity);
     state_.gravity = gravity_.get();
@@ -118,7 +99,7 @@ void Simulation::setInitialCondition(const InitialCondition& f) {
 #pragma omp for schedule(static)
     for (int e = 0; e < n; ++e) {
       real* q = state_.dofsOf(e);
-      std::memset(q, 0, sizeof(real) * state_.nbq);
+      std::memset(q, 0, sizeof(real) * assets_->nbq);
       for (int i = 0; i < nvq; ++i) {
         const Vec3 x = mesh.toPhysical(e, rm_.volQuadXi[i]);
         const auto val = f(x, mesh.elements[e].material);
@@ -141,7 +122,7 @@ void Simulation::setupFault(const FaultInitFn& init) {
   state_.fault = fault_.get();
   // Replay the asset rupture-face list in recorded (ascending element,
   // face) order: addFace returns sequential indices, so face i here is
-  // exactly the precomputed faceAux value on both sides.
+  // exactly the face table's aux value on both sides.
   for (std::size_t i = 0; i < a.ruptureFaces.size(); ++i) {
     const RuptureFaceRef& rf = a.ruptureFaces[i];
     const int fi =
@@ -194,7 +175,6 @@ void Simulation::advanceTo(real tEnd) {
         "advanceTo: mesh has dynamic-rupture faces but setupFault() was "
         "not called");
   }
-  backend_->prepare();
   const ClusterLayout& clusters = assets_->clusters;
   const real eps = 1e-12 * std::max(real(1), tEnd);
   while (time_ < tEnd - eps) {
@@ -265,15 +245,6 @@ std::array<real, kNumQuantities> Simulation::evaluate(int elem,
 
 int Simulation::findElement(const Vec3& x) const {
   return assets_->spatialIndex->locate(assets_->mesh, x);
-}
-
-int Simulation::findElementBruteForce(const Vec3& x) const {
-  for (int e = 0; e < assets_->mesh.numElements(); ++e) {
-    if (elementContains(assets_->mesh, e, x)) {
-      return e;
-    }
-  }
-  return -1;
 }
 
 std::array<real, kNumQuantities> Simulation::evaluateAt(const Vec3& x) const {
@@ -479,6 +450,7 @@ void Simulation::restoreCheckpoint(const std::string& path) {
 
 int Simulation::firstNonFiniteElement() const {
   const int n = assets_->mesh.numElements();
+  const int nbq = assets_->nbq;
   // Hand-rolled min reduction: thread-local scan, then one CAS merge.
   // (An `omp reduction` combines inside uninstrumented libgomp, which
   // TSan cannot see; a std::atomic merge is equivalent and visible.)
@@ -491,7 +463,7 @@ int Simulation::firstNonFiniteElement() const {
 #pragma omp for schedule(static) nowait
     for (int e = 0; e < n; ++e) {
       const real* q = state_.dofsOf(e);
-      for (int i = 0; i < state_.nbq; ++i) {
+      for (int i = 0; i < nbq; ++i) {
         if (!std::isfinite(q[i])) {
           mine = std::min(mine, e);
           break;

@@ -65,7 +65,7 @@ class Simulation {
   /// assets (the ensemble path -- N members share one instance).  `cfg`
   /// must structurally match the assets (degree, CFL fraction, gravity,
   /// LTS rate, max clusters); per-run fields (friction law, kernel path,
-  /// batch size, determinism, pinning) are free.  Throws
+  /// batch size, thread pinning) are free.  Throws
   /// std::invalid_argument on a structural mismatch.
   Simulation(std::shared_ptr<const SimulationAssets> assets, SolverConfig cfg);
 
@@ -98,8 +98,6 @@ class Simulation {
   std::array<real, kNumQuantities> evaluateAt(const Vec3& x) const;
   /// Element containing x, or -1 (grid-accelerated; O(1) typical).
   int findElement(const Vec3& x) const;
-  /// Reference O(N) scan with identical containment semantics (testing).
-  int findElementBruteForce(const Vec3& x) const;
 
   const Mesh& mesh() const { return assets_->mesh; }
   const SolverConfig& config() const { return cfg_; }
@@ -146,8 +144,8 @@ class Simulation {
   /// Raw modal coefficients ([element][nb][9]); read-only, used by the
   /// kernel-equivalence and relayout property tests.
   const std::vector<real>& dofsData() const { return state_.dofs; }
-  /// Cluster-contiguous batch layout of tile-based backends (built on
-  /// first advance; empty for the reference backend).
+  /// Cluster-contiguous batch layout of tile-based backends (empty for
+  /// the reference backend).
   const ClusterBatchLayout& batchLayout() const;
 
   // ---- checkpoint / restart -------------------------------------------
@@ -201,7 +199,7 @@ class Simulation {
   std::uint64_t scenarioHash_ = 0;
 
   // Per-run solver state operated on by the backends and the scheduler
-  // (kernels/backends/solver_state.hpp); static data is viewed from
+  // (kernels/backends/solver_state.hpp); static data is read from
   // assets_, mutable state is owned here.
   SolverState state_;
 

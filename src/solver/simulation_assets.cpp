@@ -106,14 +106,16 @@ SimulationAssets::SimulationAssets(Mesh meshIn,
     orderedIndexOf[orderedElements[i]] = i;
   }
 
-  // ---- serial discovery pass over (e, f): LTS neighbour flags, face
-  // kinds and scales, aux pre-assignment in canonical (e, f) order, and
-  // the face-frame flux operators of every material pair in use --------
-  faceKind.assign(static_cast<std::size_t>(n) * 4, FaceKind::kRegular);
-  faceAux.assign(static_cast<std::size_t>(n) * 4, -1);
-  faceScale.assign(static_cast<std::size_t>(n) * 4, 0.0);
-  seafloorIndexOfFace.assign(static_cast<std::size_t>(n) * 4, -1);
+  // ---- serial discovery pass over (e, f): LTS neighbour flags, the
+  // face table (kinds, scales, neighbour relations, aux pre-assignment in
+  // canonical (e, f) order), and the face-frame flux operators of every
+  // material pair in use --------------------------------------------------
+  faceTable.assign(static_cast<std::size_t>(n) * 4, {});
   hasCoarserNeighbor.assign(n, 0);
+  stackNeeded.assign(n, 0);
+  const auto recordOf = [&](int e, int f) -> FaceRecord& {
+    return faceTable[static_cast<std::size_t>(orderedIndexOf[e]) * 4 + f];
+  };
 
   const bool gravityOn = cfg.gravity > 0;
   // Flux operators keyed by (minus material id, plus material id or -1,
@@ -139,27 +141,38 @@ SimulationAssets::SimulationAssets(Mesh meshIn,
     for (int f = 0; f < 4; ++f) {
       const std::size_t idx = static_cast<std::size_t>(e) * 4 + f;
       const FaceInfo& info = mesh.faces[e][f];
-      faceScale[idx] = 2.0 * mesh.faceArea(e, f) / volJ;
+      FaceRecord& rec = recordOf(e, f);
+      rec.scale = 2.0 * mesh.faceArea(e, f) / volJ;
+      rec.neighbor = info.neighbor;
+      rec.neighborFace = static_cast<std::uint8_t>(info.neighborFace);
+      rec.permutation = static_cast<std::uint8_t>(info.permutation);
 
       if (info.neighbor >= 0) {
-        if (clusters.cluster[info.neighbor] > clusters.cluster[e]) {
+        const int dc = clusters.cluster[info.neighbor] - clusters.cluster[e];
+        rec.relation = dc == 0 ? 0 : (dc > 0 ? 1 : 2);
+        if (dc > 0) {
           hasCoarserNeighbor[e] = 1;
         }
         if (info.bc == BoundaryType::kDynamicRupture) {
-          faceKind[idx] = (e < info.neighbor) ? FaceKind::kRuptureMinus
-                                              : FaceKind::kRupturePlus;
+          rec.kind = (e < info.neighbor) ? FaceKind::kRuptureMinus
+                                         : FaceKind::kRupturePlus;
+          stackNeeded[e] = 1;
           if (e < info.neighbor) {
             // Aux index pre-assigned in discovery order: each run's
             // FaultSolver::addFace replay yields exactly these indices.
             const int fi = static_cast<int>(ruptureFaces.size());
-            faceAux[idx] = fi;
-            faceAux[static_cast<std::size_t>(info.neighbor) * 4 +
-                    info.neighborFace] = fi;
+            rec.aux = fi;
+            recordOf(info.neighbor, info.neighborFace).aux = fi;
             ruptureFaces.push_back({e, f, info.neighbor, info.neighborFace});
           }
           continue;
         }
-        faceKind[idx] = FaceKind::kRegular;
+        rec.kind = FaceKind::kRegular;
+        if (dc > 0) {
+          // Our corrector Taylor-integrates the coarser neighbour's stack
+          // over our sub-interval.
+          stackNeeded[info.neighbor] = 1;
+        }
         faceOps[idx] = opsOf({mat, mesh.elements[info.neighbor].material, -1});
         continue;
       }
@@ -167,10 +180,11 @@ SimulationAssets::SimulationAssets(Mesh meshIn,
       // Boundary faces.
       if (info.bc == BoundaryType::kGravityFreeSurface && gravityOn &&
           elemMaterial[e].isAcoustic()) {
-        faceKind[idx] = FaceKind::kGravity;
+        rec.kind = FaceKind::kGravity;
+        stackNeeded[e] = 1;
         // Aux index pre-assigned in discovery order (the per-run
         // GravityBoundary::addFace replay matches it).
-        faceAux[idx] = static_cast<int>(gravityFaces.size());
+        rec.aux = static_cast<int>(gravityFaces.size());
         gravityFaces.push_back({e, f});
         continue;
       }
@@ -178,7 +192,7 @@ SimulationAssets::SimulationAssets(Mesh meshIn,
           (info.bc == BoundaryType::kGravityFreeSurface)
               ? BoundaryType::kFreeSurface
               : info.bc;
-      faceKind[idx] = FaceKind::kBoundaryFolded;
+      rec.kind = FaceKind::kBoundaryFolded;
       faceOps[idx] = opsOf({mat, -1, static_cast<int>(folded)});
     }
   }
@@ -246,11 +260,12 @@ SimulationAssets::SimulationAssets(Mesh meshIn,
           std::fill_n(negPlus, stride, 0.0);
           continue;
         }
+        const FaceRecord& rec = faceTable[oi * 4 + f];
         const FluxMatrices fm =
             faceFluxMatrices(ops[faceOps[idx]], mesh.faceNormal(e, f));
-        storeNegT(fm.fMinus, faceScale[idx], negMinus);
-        if (faceKind[idx] == FaceKind::kRegular) {
-          storeNegT(fm.fPlus, faceScale[idx], negPlus);
+        storeNegT(fm.fMinus, rec.scale, negMinus);
+        if (rec.kind == FaceKind::kRegular) {
+          storeNegT(fm.fPlus, rec.scale, negPlus);
         } else {
           std::fill_n(negPlus, stride, 0.0);
         }
@@ -282,8 +297,7 @@ SimulationAssets::SimulationAssets(Mesh meshIn,
         sf.qpX[i] = x[0];
         sf.qpY[i] = x[1];
       }
-      seafloorIndexOfFace[static_cast<std::size_t>(e) * 4 + f] =
-          static_cast<int>(seafloorGeometry.size());
+      recordOf(e, f).seafloor = static_cast<int>(seafloorGeometry.size());
       seafloorGeometry.push_back(std::move(sf));
     }
   }
@@ -293,11 +307,6 @@ SimulationAssets::SimulationAssets(Mesh meshIn,
   faultFaceIdsOfCluster.assign(clusters.numClusters, {});
   for (int i = 0; i < static_cast<int>(ruptureFaces.size()); ++i) {
     faultFaceIdsOfCluster[clusters.cluster[ruptureFaces[i].elem]].push_back(i);
-  }
-  faultFacesOfCluster.assign(clusters.numClusters, 0);
-  for (int c = 0; c < clusters.numClusters; ++c) {
-    faultFacesOfCluster[c] =
-        static_cast<std::int64_t>(faultFaceIdsOfCluster[c].size());
   }
 
   spatialIndex = std::make_unique<SpatialIndex>(mesh);
@@ -318,7 +327,7 @@ std::shared_ptr<const BatchedAssets> SimulationAssets::batchedAssets(
 
   // Build outside the lock (idempotent: a racing build produces identical
   // content and the first insert wins).  The operands are views of the
-  // single asset copy; only the batching and face metadata are built here.
+  // single asset copy; only the layout is built here.
   auto ba = std::make_shared<BatchedAssets>();
   ba->layout = ClusterBatchLayout(clusters, rm.nb, cfg.degree, key);
   if (ba->layout.elements() != orderedElements) {
@@ -329,41 +338,6 @@ std::shared_ptr<const BatchedAssets> SimulationAssets::batchedAssets(
   ba->negStarTB = negStarTB;
   ba->negFluxMinusTB = negFluxMinusTB;
   ba->negFluxPlusTB = negFluxPlusTB;
-  const std::size_t nOrdered = orderedElements.size();
-  ba->batchFaces.assign(nOrdered * 4, {});
-  ba->stackNeeded.assign(mesh.numElements(), 0);
-  for (std::size_t i = 0; i < nOrdered; ++i) {
-    const int e = orderedElements[i];
-    for (int f = 0; f < 4; ++f) {
-      const std::size_t src = static_cast<std::size_t>(e) * 4 + f;
-      BatchFaceInfo& info = ba->batchFaces[i * 4 + f];
-      const FaceInfo& mi = mesh.faces[e][f];
-      info.kind = faceKind[src];
-      info.neighbor = mi.neighbor;
-      info.neighborFace = static_cast<std::uint8_t>(mi.neighborFace);
-      info.permutation = static_cast<std::uint8_t>(mi.permutation);
-      info.aux = faceAux[src];
-      info.seafloor = seafloorIndexOfFace[src];
-      info.scale = faceScale[src];
-      if (mi.neighbor >= 0) {
-        const int dc = clusters.cluster[mi.neighbor] - clusters.cluster[e];
-        info.relation = dc == 0 ? 0 : (dc > 0 ? 1 : 2);
-      }
-      // Flag stacks read outside their own predictor: gravity and rupture
-      // faces read this element's stack; a coarser neighbour's stack is
-      // Taylor-integrated over our sub-interval in the corrector.
-      if (info.kind == FaceKind::kGravity ||
-          info.kind == FaceKind::kRuptureMinus ||
-          info.kind == FaceKind::kRupturePlus) {
-        ba->stackNeeded[e] = 1;
-      } else if (info.kind == FaceKind::kRegular && mi.neighbor >= 0 &&
-                 info.relation == 1) {
-        ba->stackNeeded[mi.neighbor] = 1;
-      }
-    }
-  }
-  ba->batchScratchSize = static_cast<std::size_t>(cfg.degree + 3) * rm.nb *
-                         kNumQuantities * ba->layout.batchSize();
 
   std::lock_guard<std::mutex> lock(batchedMutex_);
   const auto [it, inserted] = batchedCache_.emplace(key, std::move(ba));

@@ -13,13 +13,15 @@
 //    matrices (and their negation) and pre-scaled, negated per-face
 //    Godunov flux matrices; both backends index them through
 //    orderedIndexOf, and every batch size views the same storage;
-//  * face metadata (kind / aux index / scale / seafloor recorder index),
-//    indexed by mesh element;
+//  * the face table: one record per face (kind, neighbour, aux index,
+//    scale, seafloor recorder index) in the same cluster order, which
+//    both backends read, and the elements whose derivative stack is read
+//    outside their own predictor;
 //  * boundary-face topology: gravity-surface faces, dynamic-rupture face
 //    pairs (with their aux indices pre-assigned in the canonical order),
 //    per-cluster fault-face id lists, seafloor recorder geometry;
-//  * the per-batch-size batching (layout, batch-ordered face metadata,
-//    scratch size), built on first request and cached.
+//  * the batch layout of the batched backend, built per batch size on
+//    request and cached.
 //
 // Everything per-run -- DOFs, eta, friction state, uplift accumulators,
 // receivers, the clock -- stays in Simulation/SolverState.  The ensemble
@@ -30,10 +32,10 @@
 // indices in exactly the (element, face) iteration order the pre-split
 // Simulation used, and each run *replays* its GravityBoundary / FaultSolver
 // construction over the recorded face lists in that same order.  Replayed
-// indices therefore coincide with the precomputed faceAux values, and a
-// run built from shared assets is bitwise identical to a standalone one.
-// Face kinds and aux indices come from a serial discovery pass; only the
-// operand fill, where every element writes its own slots, is threaded.
+// indices therefore coincide with the face table's aux values, and a run
+// built from shared assets is bitwise identical to a standalone one.
+// The face table comes from a serial discovery pass; only the operand
+// fill, where every element writes its own slots, is threaded.
 
 #include <cstdint>
 #include <map>
@@ -61,8 +63,8 @@ enum class FaceKind : std::uint8_t {
 };
 
 /// The structural subset of SolverConfig that determines asset content.
-/// Per-run fields (friction law, kernel path, batch size, determinism,
-/// pinning) are deliberately absent: sweeping them reuses the same assets.
+/// Per-run fields (friction law, kernel path, batch size, thread pinning)
+/// are deliberately absent: sweeping them reuses the same assets.
 struct AssetConfig {
   int degree = 2;
   real cflFraction = 0.35;
@@ -101,16 +103,16 @@ struct SeafloorFaceGeometry {
   std::vector<real> qpX, qpY;  // [nq] physical quadrature points
 };
 
-/// Batch-ordered face metadata of the batched pipeline.
-struct BatchFaceInfo {
+/// One face of the face table, indexed [orderedElem*4 + f].
+struct FaceRecord {
   FaceKind kind = FaceKind::kRegular;
   std::uint8_t neighborFace = 0, permutation = 0;
   // Neighbor cluster relation: 0 same cluster, 1 coarser, 2 finer.
   std::uint8_t relation = 0;
   int neighbor = -1;   // mesh element id
   int aux = -1;        // gravity/rupture face index
-  int seafloor = -1;   // seafloorFaces index
-  real scale = 0;
+  int seafloor = -1;   // seafloorGeometry index
+  real scale = 0;      // 2 A_f / |J|
 };
 
 /// The batching of the batched backend for one batch size.  The operand
@@ -118,16 +120,10 @@ struct BatchFaceInfo {
 /// names, same layout), valid for as long as those assets live.
 struct BatchedAssets {
   ClusterBatchLayout layout;
-  std::vector<BatchFaceInfo> batchFaces;  // [orderedElem*4 + f]
-  ConstSpan<real> starTB;                 // SimulationAssets::starTB
-  ConstSpan<real> negStarTB;              // SimulationAssets::negStarTB
-  ConstSpan<real> negFluxMinusTB;         // SimulationAssets::negFluxMinusTB
-  ConstSpan<real> negFluxPlusTB;          // SimulationAssets::negFluxPlusTB
-  // Mesh elements whose derivative stack is read outside their own
-  // predictor (gravity/rupture faces, coarser LTS neighbours).
-  std::vector<std::uint8_t> stackNeeded;  // [mesh elem]
-  // Tile scratch of the batched pipeline ((degree+3) tiles of nb*9*B).
-  std::size_t batchScratchSize = 0;
+  ConstSpan<real> starTB;          // SimulationAssets::starTB
+  ConstSpan<real> negStarTB;       // SimulationAssets::negStarTB
+  ConstSpan<real> negFluxMinusTB;  // SimulationAssets::negFluxMinusTB
+  ConstSpan<real> negFluxPlusTB;   // SimulationAssets::negFluxPlusTB
 };
 
 /// FNV-1a key over mesh content + material table + structural config;
@@ -164,21 +160,19 @@ class SimulationAssets {
   std::vector<int> orderedIndexOf;   // [mesh elem] -> orderedElem
 
   // Static kernel operands, in cluster order (views of operandStorage_).
-  // Flux matrices are pre-scaled by faceScale and negated; they are zero
-  // on faces without a flux-solver matrix (gravity, rupture; fluxPlus on
-  // boundary faces).
+  // Flux matrices are pre-scaled by the face scale and negated; they are
+  // zero on faces without a flux-solver matrix (gravity, rupture;
+  // fluxPlus on boundary faces).
   ConstSpan<real> starTB;          // [orderedElem][3][81], transposed
   ConstSpan<real> negStarTB;       // -starTB (predictor operand)
   ConstSpan<real> negFluxMinusTB;  // [orderedElem*4 + f][81]
   ConstSpan<real> negFluxPlusTB;   // [orderedElem*4 + f][81]
 
+  std::vector<FaceRecord> faceTable;             // [orderedElem*4 + f]
   std::vector<std::uint8_t> hasCoarserNeighbor;  // [elem]
-
-  // Static per-face metadata, indexed [elem*4 + f].
-  std::vector<FaceKind> faceKind;
-  std::vector<int> faceAux;      // gravity/rupture index (pre-assigned)
-  std::vector<real> faceScale;   // 2 A_f / |J|
-  std::vector<int> seafloorIndexOfFace;  // seafloorGeometry index or -1
+  // Elements whose derivative stack is read outside their own predictor:
+  // by a gravity or rupture face, or by a finer neighbour.  [elem]
+  std::vector<std::uint8_t> stackNeeded;
 
   // Boundary-face topology, in aux-index order.
   std::vector<GravityFaceRef> gravityFaces;
@@ -188,17 +182,16 @@ class SimulationAssets {
   // ascending within a cluster; the scheduler's rupture wave iterates
   // exactly these lists.
   std::vector<std::vector<int>> faultFaceIdsOfCluster;
-  std::vector<std::int64_t> faultFacesOfCluster;
 
   std::unique_ptr<SpatialIndex> spatialIndex;
 
   std::uint64_t assetHash = 0;
 
   /// The batching for one batch size (<= 0 selects the auto size): its
-  /// layout, batch-ordered face metadata and scratch size, plus views of
-  /// the one operand copy above (no operand is copied per batch size).
-  /// Built on first request and cached; thread-safe, so concurrent
-  /// ensemble members share one per batch size.
+  /// layout plus views of the one operand copy above (no operand is
+  /// copied per batch size).  Built on first request and cached;
+  /// thread-safe, so concurrent ensemble members share one per batch
+  /// size.
   std::shared_ptr<const BatchedAssets> batchedAssets(int batchSize) const;
 
  private:

@@ -7,6 +7,7 @@
 #include "kernels/backends/kernel_backend.hpp"
 #include "partition/partitioner.hpp"
 #include "partition/weights.hpp"
+#include "solver/simulation_assets.hpp"
 
 namespace tsg {
 
@@ -170,11 +171,11 @@ ThreadPlan ThreadPlan::build(
   return plan;
 }
 
-ThreadPlan buildThreadPlan(int threads, const SolverState& state,
+ThreadPlan buildThreadPlan(int threads, const SimulationAssets& assets,
                            const KernelBackend& backend) {
-  const ClusterLayout& clusters = *state.clusters;
+  const ClusterLayout& clusters = assets.clusters;
   const std::vector<std::int64_t> elemWeights =
-      computeVertexWeights(*state.mesh, clusters, VertexWeightParams{});
+      computeVertexWeights(assets.mesh, clusters, VertexWeightParams{});
 
   std::vector<std::vector<std::int64_t>> tileWeights(clusters.numClusters);
   std::vector<std::vector<std::int64_t>> tileElements(clusters.numClusters);
@@ -195,12 +196,10 @@ ThreadPlan buildThreadPlan(int threads, const SolverState& state,
     }
   }
 
-  std::vector<std::int64_t> faultFaces(clusters.numClusters, 0);
-  for (int c = 0; c < clusters.numClusters &&
-                  c < static_cast<int>(state.faultFaceIdsOfCluster.size());
-       ++c) {
+  std::vector<std::int64_t> faultFaces(clusters.numClusters);
+  for (int c = 0; c < clusters.numClusters; ++c) {
     faultFaces[c] =
-        static_cast<std::int64_t>(state.faultFaceIdsOfCluster[c].size());
+        static_cast<std::int64_t>(assets.faultFaceIdsOfCluster[c].size());
   }
   return ThreadPlan::build(threads, tileWeights, tileElements, faultFaces);
 }

@@ -25,7 +25,7 @@
 namespace tsg {
 
 class KernelBackend;
-struct SolverState;
+class SimulationAssets;
 
 /// Half-open tile (or fault-face) index range [begin, end).
 struct TileRange {
@@ -56,7 +56,8 @@ class ThreadPlan {
     return tileRanges_[static_cast<std::size_t>(cluster) * threads_ + thread];
   }
   /// Fault-face slice of `thread` within cluster c (indices into the
-  /// per-cluster fault-face id list, SolverState::faultFaceIdsOfCluster).
+  /// per-cluster fault-face id list,
+  /// SimulationAssets::faultFaceIdsOfCluster).
   TileRange faultFaces(int cluster, int thread) const {
     return faultRanges_[static_cast<std::size_t>(cluster) * threads_ + thread];
   }
@@ -79,11 +80,10 @@ class ThreadPlan {
   double maxImbalance_ = 1.0;
 };
 
-/// Build the plan for the backend's current tile layout: queries each
-/// tile's elements (KernelBackend::appendTileElements) and aggregates the
-/// Eq. 28 vertex weights of `state`'s mesh/clusters per tile.  The backend
-/// must be prepared (tile layout final) before calling.
-ThreadPlan buildThreadPlan(int threads, const SolverState& state,
+/// Build the plan for the backend's tile layout: queries each tile's
+/// elements (KernelBackend::appendTileElements) and aggregates the Eq. 28
+/// vertex weights of the assets' mesh and clusters per tile.
+ThreadPlan buildThreadPlan(int threads, const SimulationAssets& assets,
                            const KernelBackend& backend);
 
 }  // namespace tsg

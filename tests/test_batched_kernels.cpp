@@ -7,7 +7,9 @@
 //  * the relayout gather/scatter round-trips modal data exactly,
 //  * the batch layout is a permutation partition of the element set,
 //  * every batch size views the asset's one operand copy, and a
-//    non-default batch size still matches the reference path bitwise.
+//    non-default batch size still matches the reference path bitwise,
+//  * the face table both paths read agrees with the mesh it is built
+//    from.
 
 #include <omp.h>
 
@@ -128,6 +130,67 @@ TEST(BatchedKernels, BatchSizesViewTheOneAssetOperandCopy) {
   }
   // A repeated request returns the cached batching.
   EXPECT_EQ(assets.batchedAssets(8), b8);
+}
+
+// Both backends take every face's kind, neighbour, relation, aux index and
+// scale from the face table, so no cross-backend suite can catch a wrong
+// record: check each one against the mesh and cluster layout.
+TEST(BatchedKernels, FaceTableMatchesMeshTopology) {
+  const ScenarioBundle s = megathrustPreset();
+  const SimulationAssets a(s.mesh, s.materials,
+                           AssetConfig::fromSolverConfig(s.solver));
+  const Mesh& mesh = a.mesh;
+  const int n = mesh.numElements();
+  ASSERT_EQ(a.faceTable.size(), static_cast<std::size_t>(n) * 4);
+  std::vector<std::uint8_t> stackNeeded(n, 0);
+  std::size_t gravity = 0, ruptureSides = 0, seafloor = 0, coarser = 0;
+  for (int e = 0; e < n; ++e) {
+    for (int f = 0; f < 4; ++f) {
+      const FaceRecord& r =
+          a.faceTable[static_cast<std::size_t>(a.orderedIndexOf[e]) * 4 + f];
+      const FaceInfo& info = mesh.faces[e][f];
+      EXPECT_EQ(r.scale, 2.0 * mesh.faceArea(e, f) / (6.0 * mesh.volume(e)));
+      EXPECT_EQ(r.neighbor, info.neighbor);
+      if (r.kind == FaceKind::kRegular) {
+        ASSERT_GE(info.neighbor, 0);
+        EXPECT_EQ(r.neighborFace, info.neighborFace);
+        EXPECT_EQ(r.permutation, info.permutation);
+        const int dc =
+            a.clusters.cluster[info.neighbor] - a.clusters.cluster[e];
+        EXPECT_EQ(r.relation, dc == 0 ? 0 : (dc > 0 ? 1 : 2));
+        if (dc > 0) {
+          stackNeeded[info.neighbor] = 1;
+          ++coarser;
+        }
+      } else if (r.kind == FaceKind::kBoundaryFolded) {
+        EXPECT_LT(info.neighbor, 0);
+      } else if (r.kind == FaceKind::kGravity) {
+        ASSERT_GE(r.aux, 0);
+        EXPECT_EQ(a.gravityFaces[r.aux].elem, e);
+        EXPECT_EQ(a.gravityFaces[r.aux].face, f);
+        stackNeeded[e] = 1;
+        ++gravity;
+      } else {
+        ASSERT_GE(r.aux, 0);
+        const RuptureFaceRef& rf = a.ruptureFaces[r.aux];
+        const bool minus = r.kind == FaceKind::kRuptureMinus;
+        EXPECT_EQ(minus ? rf.elem : rf.neighbor, e);
+        EXPECT_EQ(minus ? rf.face : rf.neighborFace, f);
+        stackNeeded[e] = 1;
+        ++ruptureSides;
+      }
+      if (r.seafloor >= 0) {
+        EXPECT_EQ(a.seafloorGeometry[r.seafloor].elem, e);
+        EXPECT_EQ(a.seafloorGeometry[r.seafloor].face, f);
+        ++seafloor;
+      }
+    }
+  }
+  EXPECT_EQ(gravity, a.gravityFaces.size());
+  EXPECT_EQ(ruptureSides, 2 * a.ruptureFaces.size());
+  EXPECT_EQ(seafloor, a.seafloorGeometry.size());
+  EXPECT_GT(gravity * ruptureSides * seafloor * coarser, 0u);
+  EXPECT_EQ(stackNeeded, a.stackNeeded);
 }
 
 // Both backends read the same ordered operands; at a batch size other than

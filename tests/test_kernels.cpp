@@ -10,6 +10,7 @@
 
 #include "common/flops.hpp"
 #include "common/matrix.hpp"
+#include "kernels/batched_kernels.hpp"
 #include "kernels/element_kernels.hpp"
 #include "kernels/reference_matrices.hpp"
 #include "physics/jacobians.hpp"
@@ -207,13 +208,13 @@ TEST_P(AderKernels, PointwiseSurfaceKernelMatchesGemmOracleBitwise) {
   std::vector<real> expected = dofs;
   detail::gemmAccImpl(rm.nb, 9, rm.nq, rm.faceEvalTW[1].data(), rm.nq,
                       neg.data(), 9, expected.data(), 9);
-  surfaceKernelPointwise(rm, rm.faceEvalTW[1], scale, fluxQp.data(),
-                         dofs.data());
+  surfaceKernelPointwiseStrided(rm, rm.faceEvalTW[1], scale, fluxQp.data(),
+                                dofs.data(), 9);
   EXPECT_EQ(0, std::memcmp(expected.data(), dofs.data(),
                            dofs.size() * sizeof(real)));
 }
 
-TEST_P(AderKernels, TaylorIntegrationAndEvaluation) {
+TEST_P(AderKernels, TaylorIntegration) {
   const int degree = GetParam();
   const auto& rm = referenceMatrices(degree);
   const int nbq = dofCount(rm);
@@ -239,15 +240,6 @@ TEST_P(AderKernels, TaylorIntegrationAndEvaluation) {
       EXPECT_EQ(out[i], 0.0);
     }
   }
-
-  taylorEvaluate(rm, stack.data(), 0.7, out.data());
-  real exactEval = 0;
-  factorial = 1;
-  for (int k = 0; k <= degree; ++k) {
-    exactEval += c[k] * std::pow(0.7, k) / factorial;
-    factorial *= (k + 1);
-  }
-  EXPECT_NEAR(out[7], exactEval, 1e-13 * (1 + std::abs(exactEval)));
 }
 
 INSTANTIATE_TEST_SUITE_P(Degrees, AderKernels, ::testing::Values(1, 2, 3, 4, 5));

@@ -210,9 +210,12 @@ std::uint64_t digestOf(const Container& c) {
 }
 
 // The operand fill of SimulationAssets is one threaded loop in which each
-// element writes only its own slots; face kinds and aux indices come from
-// a serial pass.  Every static array must therefore be bitwise the same at
-// 1 and 4 threads (and under TSan this runs the parallel region).
+// element writes only its own slots; the face table and stackNeeded come
+// from a serial pass.  Every static array must therefore be bitwise the
+// same at 1 and 4 threads (and under TSan this runs the parallel region).
+// digestOf reads raw bytes, so a face record must have no padding.
+static_assert(sizeof(FaceRecord) == 4 + 3 * sizeof(int) + sizeof(real));
+
 TEST(Threading, AssetOperandsBitwiseAcrossThreadCounts) {
   const int saved = omp_get_max_threads();
   const ScenarioBundle bundle = megathrustPreset();
@@ -223,17 +226,16 @@ TEST(Threading, AssetOperandsBitwiseAcrossThreadCounts) {
     const SimulationAssets a(bundle.mesh, bundle.materials, cfg);
     digests.push_back({digestOf(a.starTB), digestOf(a.negStarTB),
                        digestOf(a.negFluxMinusTB), digestOf(a.negFluxPlusTB),
-                       digestOf(a.faceKind), digestOf(a.faceAux),
-                       digestOf(a.faceScale), digestOf(a.gravityFaces),
+                       digestOf(a.faceTable), digestOf(a.stackNeeded),
+                       digestOf(a.gravityFaces),
                        digestOf(a.ruptureFaces), a.assetHash});
     EXPECT_FALSE(a.gravityFaces.empty());
     EXPECT_FALSE(a.ruptureFaces.empty());
   }
   omp_set_num_threads(saved);
-  const char* names[] = {"starTB",       "negStarTB",   "negFluxMinusTB",
-                         "negFluxPlusTB", "faceKind",    "faceAux",
-                         "faceScale",     "gravityFaces", "ruptureFaces",
-                         "assetHash"};
+  const char* names[] = {"starTB",        "negStarTB",    "negFluxMinusTB",
+                         "negFluxPlusTB", "faceTable",    "stackNeeded",
+                         "gravityFaces",  "ruptureFaces", "assetHash"};
   ASSERT_EQ(digests[0].size(), std::size(names));
   for (std::size_t i = 0; i < digests[0].size(); ++i) {
     EXPECT_EQ(digests[0][i], digests[1][i]) << names[i];

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Ensemble engine smoke, end to end through both drivers:
 #  0. --dry-run validates every member's run options (a negative
-#     `threads` on one sweep axis value exits 2), and the deleted
-#     --fleet-perf / --no-share-assets options are rejected (exit 2),
+#     `threads` on one sweep axis value exits 2), a malformed --workers
+#     value is rejected (exit 2), and the deleted --fleet-perf /
+#     --no-share-assets options are rejected (exit 2),
 #  1. expand and run a 4-member quickstart sweep (kernel_path x
 #     batch_size -- non-structural axes, so all members must share ONE
 #     SimulationAssets build), with the fleet status roll-up on,
@@ -63,6 +64,14 @@ grep -q "threads must be >= 0" dry_bad.out \
   || { cat dry_bad.out >&2; fail "--dry-run did not name the bad threads value"; }
 "$ENSEMBLE" --dry-run sweep.cfg > dry_ok.out 2>&1 \
   || { cat dry_ok.out >&2; fail "--dry-run of the valid sweep failed"; }
+# Malformed --workers values, all under --dry-run so no worker starts.
+for opt in --workers=2x --workers=; do
+  "$ENSEMBLE" "$opt" --dry-run sweep.cfg > workers.out 2>&1
+  rc=$?
+  [ "$rc" -eq 2 ] || { cat workers.out >&2; fail "$opt: exit $rc, expected 2"; }
+  grep -q "workers must be a positive integer" workers.out \
+    || { cat workers.out >&2; fail "$opt not reported as a bad worker count"; }
+done
 for opt in --fleet-perf --no-share-assets; do
   "$ENSEMBLE" "$opt" --dry-run sweep.cfg > removed.out 2>&1
   rc=$?
@@ -70,7 +79,7 @@ for opt in --fleet-perf --no-share-assets; do
   grep -q "unknown option" removed.out \
     || { cat removed.out >&2; fail "$opt not reported as an unknown option"; }
 done
-echo "dry-run validation + removed options: OK"
+echo "dry-run validation + bad --workers + removed options: OK"
 
 # ---- 1. clean 4-member sweep ----------------------------------------
 "$ENSEMBLE" --status sweep.cfg > ens.out 2>&1 \

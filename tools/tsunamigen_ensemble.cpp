@@ -29,6 +29,7 @@
 // hazard JSON still aggregates the survivors); 2 configuration error;
 // 4 I/O failure; 1 any other driver error.
 
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -130,12 +131,11 @@ int main(int argc, char** argv) {
       std::fputs(kTemplate, stdout);
       return 0;
     } else if (arg.rfind("--workers=", 0) == 0) {
-      try {
-        workersOverride = std::stoi(arg.substr(std::strlen("--workers=")));
-      } catch (const std::exception&) {
-        workersOverride = 0;
-      }
-      if (workersOverride < 1) {
+      // The whole value must be an integer, as for a config value.
+      const char* first = arg.c_str() + std::strlen("--workers=");
+      const char* last = arg.c_str() + arg.size();
+      const auto [end, ec] = std::from_chars(first, last, workersOverride);
+      if (ec != std::errc() || end != last || workersOverride < 1) {
         std::fprintf(stderr, "--workers must be a positive integer\n");
         return 2;
       }
