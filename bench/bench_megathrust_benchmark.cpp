@@ -17,20 +17,15 @@
 // short-wavelength ocean-acoustic oscillations; differences appear near
 // the beach which only the linked model contains.
 
-#include <omp.h>
-
-#include <chrono>
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <vector>
 
 #include "common/config.hpp"
 #include "common/table.hpp"
 #include "linking/one_way_linking.hpp"
-#include "perf/host_metadata.hpp"
-#include "perf/perf_monitor.hpp"
 #include "scenario/spec.hpp"
 #include "solver/simulation.hpp"
 #include "swe/swe_solver.hpp"
@@ -89,134 +84,6 @@ int main() {
   sim.advanceTo(tEnd);
   std::printf("coupled done at t = %.2f s; max slip rate seen %.2f m/s\n",
               sim.time(), sim.fault()->maxSlipRate());
-
-  // ---- kernel-pipeline head-to-head -> BENCH_kernels.json ---------------
-  // Fresh sims on the coupled scenario, reference vs batched, identical
-  // work; the batched run carries the PerfMonitor whose phase breakdown
-  // (plus the measured per-backend speedups) becomes the machine-readable
-  // report.
-  {
-    auto buildTimed = [&](KernelPath path) {
-      ScenarioBundle b = coupled;
-      b.solver.kernelPath = path;
-      return makeSimulation(b);
-    };
-    const real benchTEnd = std::max<real>(0.25 * tEnd, 3.0 * sim.macroDt());
-    auto timeRun = [&](Simulation& s) {
-      const auto t0 = std::chrono::steady_clock::now();
-      s.advanceTo(benchTEnd);
-      return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                           t0)
-          .count();
-    };
-    // Min-of-N with alternating reference/batched reps: single-run
-    // wall times on a shared machine swing by several percent, which is
-    // the same order as the effect being measured.
-    int reps = 3;
-    if (const char* s = std::getenv("TSG_BENCH_REPS")) {
-      reps = std::max(1, std::atoi(s));
-    }
-    std::printf("timing kernel pipelines to t = %.2f s (%d alternating "
-                "reps, min taken)...\n",
-                benchTEnd, reps);
-    const KernelPath paths[] = {KernelPath::kReference, KernelPath::kBatched};
-    constexpr int kNumPaths = 2;
-    double seconds[kNumPaths] = {0, 0};
-    std::unique_ptr<Simulation> batchedSim;
-    for (int r = 0; r < reps; ++r) {
-      double repSeconds[kNumPaths];
-      for (int p = 0; p < kNumPaths; ++p) {
-        auto s = buildTimed(paths[p]);
-        const bool keep = paths[p] == KernelPath::kBatched && r + 1 == reps;
-        if (keep) {
-          s->enablePerfMonitor();
-        }
-        repSeconds[p] = timeRun(*s);
-        if (keep) {
-          batchedSim = std::move(s);
-        }
-      }
-      std::printf("  rep %d: reference %.2fs, batched %.2fs\n", r + 1,
-                  repSeconds[0], repSeconds[1]);
-      for (int p = 0; p < kNumPaths; ++p) {
-        seconds[p] =
-            (r == 0) ? repSeconds[p] : std::min(seconds[p], repSeconds[p]);
-      }
-    }
-    const int benchThreads = omp_get_max_threads();
-    PerfReportMeta meta = batchedSim->perfReportMeta("megathrust");
-    // Stamp the run's host context (core count, CPU model, governor, OMP
-    // env) into the report: a BENCH_kernels.json is only comparable to
-    // another one taken on the same machine state.
-    meta.host = collectHostMetadata();
-    for (int p = 0; p < kNumPaths; ++p) {
-      PerfBackendResult b;
-      b.backend = kernelPathName(paths[p]);
-      b.threads = benchThreads;
-      b.seconds = seconds[p];
-      b.speedupVsReference = seconds[0] / seconds[p];
-      meta.backends.push_back(b);
-    }
-    // Thread-scaling leg: the batched pipeline against its own 1-thread run
-    // (same alternating min-of-N protocol).  Skipped when the bench
-    // already ran single-threaded -- the ratio would be 1 by construction.
-    if (benchThreads > 1) {
-      double oneThread = 0, nThread = 0;
-      for (int r = 0; r < reps; ++r) {
-        omp_set_num_threads(1);
-        {
-          auto s = buildTimed(KernelPath::kBatched);
-          const double t = timeRun(*s);
-          oneThread = (r == 0) ? t : std::min(oneThread, t);
-        }
-        omp_set_num_threads(benchThreads);
-        {
-          auto s = buildTimed(KernelPath::kBatched);
-          const double t = timeRun(*s);
-          nThread = (r == 0) ? t : std::min(nThread, t);
-        }
-      }
-      PerfBackendResult b;
-      b.backend = "batched";
-      b.threads = 1;
-      b.seconds = oneThread;
-      b.speedupVsReference = seconds[0] / oneThread;
-      meta.backends.push_back(b);
-      meta.extra["batched_1thread_seconds"] = oneThread;
-      meta.extra["thread_speedup"] = oneThread / nThread;
-      std::printf("thread scaling: batched %.2fs @ 1 thread vs %.2fs @ %d "
-                  "threads -> %.2fx\n",
-                  oneThread, nThread, benchThreads, oneThread / nThread);
-    }
-    // Legacy top-level keys (schema consumers predating the backends
-    // array); speedup_vs_reference reports the batched pipeline.
-    meta.extra["speedup_vs_reference"] = seconds[0] / seconds[1];
-    meta.extra["reference_seconds"] = seconds[0];
-    meta.extra["batched_seconds"] = seconds[1];
-    writePerfReport("BENCH_kernels.json", *batchedSim->perfMonitor(), meta);
-    const PerfMonitor& pm = *batchedSim->perfMonitor();
-    // busy (summed across threads) vs wall (wave-bracketed on thread 0):
-    // their ratio is the measured parallel occupancy of each phase.
-    for (int p = 0; p < kNumPhases; ++p) {
-      const Phase ph = static_cast<Phase>(p);
-      const double busy = pm.total(ph).seconds;
-      const double wall = pm.wallSeconds(ph);
-      std::printf("  %-12s busy %7.3fs  wall %7.3fs  (occupancy %.2fx of "
-                  "%d threads)\n",
-                  phaseName(ph), busy, wall, wall > 0 ? busy / wall : 0.0,
-                  benchThreads);
-    }
-    const PhaseStats predictor = pm.total(Phase::kPredictor);
-    const PhaseStats corrector = pm.total(Phase::kCorrector);
-    std::printf("kernel speedup vs reference (%.2fs): batched %.2fx "
-                "(%.2fs); predictor %.1f GFLOP/s, corrector %.1f GFLOP/s "
-                "-> BENCH_kernels.json\n",
-                seconds[0], seconds[0] / seconds[1], seconds[1],
-                predictor.seconds > 0 ? predictor.flops / predictor.seconds / 1e9
-                                      : 0.0,
-                corrector.seconds > 0 ? corrector.flops / corrector.seconds / 1e9
-                                      : 0.0);
-  }
 
   // ---- (b) earthquake-only run + one-way linked SWE ---------------------
   // Same earthquake without the water column: traction-free seafloor, no

@@ -5,8 +5,7 @@ set -x
 cd "$(dirname "$0")/benchout" || exit 1
 {
   # Host metadata header: bench numbers are only comparable against runs
-  # taken on the same machine state (see also the "host" object that the
-  # benches stamp into BENCH_kernels.json).
+  # taken on the same machine state.
   echo "== host =="
   echo "nproc: $(nproc 2>/dev/null || echo unknown)"
   echo "cpu_model: $(sed -n 's/^model name[^:]*: //p' /proc/cpuinfo 2>/dev/null | head -1)"

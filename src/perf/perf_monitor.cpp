@@ -353,38 +353,6 @@ std::string perfReportJson(const PerfMonitor& m, const PerfReportMeta& meta) {
     out += "}";
   }
 
-  if (!meta.backends.empty()) {
-    out += ",\n  \"backends\": [";
-    for (std::size_t i = 0; i < meta.backends.size(); ++i) {
-      if (i) {
-        out += ',';
-      }
-      const PerfBackendResult& b = meta.backends[i];
-      out += "{\"backend\":" + jsonString(b.backend) +
-             ",\"threads\":" + std::to_string(b.threads) +
-             ",\"seconds\":" + jsonNumber(b.seconds) +
-             ",\"speedup_vs_reference\":" + jsonNumber(b.speedupVsReference) +
-             "}";
-    }
-    out += "]";
-  }
-
-  if (!meta.host.empty()) {
-    out += ",\n  \"host\": {";
-    bool first = true;
-    for (const auto& [key, value] : meta.host) {
-      if (!first) {
-        out += ", ";
-      }
-      first = false;
-      out += jsonString(key) + ": " + jsonString(value);
-    }
-    out += "}";
-  }
-
-  for (const auto& [key, value] : meta.extra) {
-    out += ",\n  " + jsonString(key) + ": " + jsonNumber(value);
-  }
   out += "\n}\n";
   return out;
 }

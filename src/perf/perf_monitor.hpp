@@ -19,7 +19,7 @@
 //    is included); end-to-end rates divide by this.
 //
 // Outputs:
-//  * perfReportJson(): the BENCH_kernels.json schema ("tsg-perf-1") with
+//  * perfReportJson(): the perf report (schema "tsg-perf-1") with
 //    the phase breakdown (wall seconds, GFLOP/s, element updates/s,
 //    estimated FLOP/byte), the per-cluster split, the LTS histogram, and
 //    aggregate named-span totals;
@@ -232,14 +232,6 @@ struct PerfClusterInfo {
   real dt = 0;
 };
 
-/// One backend's timing in a head-to-head comparison (benchmarks).
-struct PerfBackendResult {
-  std::string backend;  // "reference" | "batched"
-  int threads = 1;      // OpenMP worker threads the timing ran with
-  double seconds = 0;
-  double speedupVsReference = 0;
-};
-
 struct PerfReportMeta {
   std::string scenario;
   std::string kernelPath;  // "reference" | "batched"
@@ -252,17 +244,9 @@ struct PerfReportMeta {
   std::uint64_t elementUpdates = 0;
   double simulatedSeconds = 0;
   std::vector<PerfClusterInfo> clusters;  // the LTS cluster histogram
-  /// Per-backend head-to-head results ("backends" array; may be empty).
-  std::vector<PerfBackendResult> backends;
-  /// Extra top-level numeric fields (e.g. "speedup_vs_reference").
-  std::map<std::string, double> extra;
-  /// Host metadata ("host" object of string fields: nproc, cpu model,
-  /// scaling governor, OMP env -- see perf/host_metadata.hpp).  Emitted
-  /// only when non-empty, so existing reports are unchanged.
-  std::map<std::string, std::string> host;
 };
 
-/// The BENCH_kernels.json document (schema "tsg-perf-1").
+/// The perf-report document (schema "tsg-perf-1").
 std::string perfReportJson(const PerfMonitor& m, const PerfReportMeta& meta);
 
 /// Atomic write of perfReportJson.

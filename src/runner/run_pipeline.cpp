@@ -7,6 +7,7 @@
 #include <deque>
 
 #include "common/errors.hpp"
+#include "common/fnv1a.hpp"
 #include "io/atomic_file.hpp"
 #include "io/vtk_writer.hpp"
 #include "scenario/spec.hpp"
@@ -132,12 +133,7 @@ ScenarioBundle resolveScenario(const RunOptions& o, const ConfigFile& cfg) {
 
 std::uint64_t hashFileBytes(const std::string& path) {
   const std::string bytes = readFileBytes(path);
-  std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
-  for (const unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
+  return fnv1a(kFnv1aOffsetBasis, bytes.data(), bytes.size());
 }
 
 namespace {

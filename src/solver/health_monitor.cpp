@@ -2,9 +2,9 @@
 
 #include <cmath>
 #include <cstdio>
-#include <limits>
 #include <sstream>
 
+#include "common/json.hpp"
 #include "common/kernel_path.hpp"
 #include "io/atomic_file.hpp"
 #include "io/vtk_writer.hpp"
@@ -14,73 +14,52 @@ namespace tsg {
 
 namespace {
 
+/// Absolute energies below this are noise; growth checks ignore them.
+constexpr real kEnergyFloor = 1e-8;
+/// Energy samples retained for the incident report.
+constexpr int kHistoryLength = 32;
+
 /// JSON-safe number: non-finite values have no JSON literal, so emit them
 /// as strings ("nan", "inf") rather than invalid tokens.
-void appendJsonNumber(std::ostringstream& out, real v) {
+std::string incidentNumber(real v) {
   if (std::isfinite(v)) {
-    out << v;
-  } else {
-    out << '"' << (std::isnan(v) ? "nan" : (v > 0 ? "inf" : "-inf")) << '"';
+    return jsonNumber(v);
   }
-}
-
-void appendJsonString(std::ostringstream& out, const std::string& s) {
-  out << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      default:
-        out << c;
-    }
-  }
-  out << '"';
+  return std::isnan(v) ? "\"nan\"" : (v > 0 ? "\"inf\"" : "\"-inf\"");
 }
 
 }  // namespace
 
 std::string incidentJson(const HealthReport& report) {
-  std::ostringstream out;
-  out.precision(std::numeric_limits<real>::max_digits10);
-  out << "{\n  \"reason\": ";
-  appendJsonString(out, report.reason);
-  out << ",\n  \"time\": ";
-  appendJsonNumber(out, report.time);
-  out << ",\n  \"tick\": " << report.tick;
-  out << ",\n  \"element\": " << report.element;
-  out << ",\n  \"cluster\": " << report.cluster;
-  out << ",\n  \"gravity_face\": " << report.gravityFace;
-  out << ",\n  \"fault_face\": " << report.faultFace;
-  out << ",\n  \"backend\": ";
-  appendJsonString(out, report.backend);
-  out << ",\n  \"kernel_path\": ";
-  appendJsonString(out, report.kernelPath);
+  std::string out = "{\n  \"reason\": " + jsonQuote(report.reason);
+  out += ",\n  \"time\": " + incidentNumber(report.time);
+  out += ",\n  \"tick\": " + std::to_string(report.tick);
+  out += ",\n  \"element\": " + std::to_string(report.element);
+  out += ",\n  \"cluster\": " + std::to_string(report.cluster);
+  out += ",\n  \"gravity_face\": " + std::to_string(report.gravityFace);
+  out += ",\n  \"fault_face\": " + std::to_string(report.faultFace);
+  out += ",\n  \"backend\": " + jsonQuote(report.backend);
+  out += ",\n  \"kernel_path\": " + jsonQuote(report.kernelPath);
   {
     // As a hex string: a u64 hash does not fit a double-backed JSON
     // number, and this matches the checkpoint mismatch diagnostics.
     char hash[32];
     std::snprintf(hash, sizeof hash, "\"0x%016llx\"",
                   static_cast<unsigned long long>(report.configHash));
-    out << ",\n  \"config_hash\": " << hash;
+    out += ",\n  \"config_hash\": ";
+    out += hash;
   }
-  out << ",\n  \"metrics\": "
-      << (report.metricsJson.empty() ? "null" : report.metricsJson.c_str());
-  out << ",\n  \"energy_history\": [";
+  out += ",\n  \"metrics\": ";
+  out += report.metricsJson.empty() ? "null" : report.metricsJson;
+  out += ",\n  \"energy_history\": [";
   for (std::size_t i = 0; i < report.energyHistory.size(); ++i) {
     if (i > 0) {
-      out << ", ";
+      out += ", ";
     }
-    appendJsonNumber(out, report.energyHistory[i]);
+    out += incidentNumber(report.energyHistory[i]);
   }
-  out << "]\n}\n";
-  return out.str();
+  out += "]\n}\n";
+  return out;
 }
 
 HealthMonitor::HealthMonitor(HealthMonitorConfig cfg) : cfg_(std::move(cfg)) {}
@@ -138,7 +117,7 @@ void HealthMonitor::check(const Simulation& sim) {
   const real energy = computeEnergy(sim).total();
   const real prev = history_.empty() ? real(0) : history_.back();
   history_.push_back(energy);
-  if (static_cast<int>(history_.size()) > cfg_.historyLength) {
+  if (static_cast<int>(history_.size()) > kHistoryLength) {
     history_.erase(history_.begin());
   }
   report.energyHistory = history_;
@@ -146,7 +125,7 @@ void HealthMonitor::check(const Simulation& sim) {
     report.reason = "non-finite total energy";
     fail(sim, std::move(report));
   }
-  if (prev > cfg_.energyFloor && energy > cfg_.energyFloor &&
+  if (prev > kEnergyFloor && energy > kEnergyFloor &&
       energy > cfg_.maxEnergyGrowthFactor * prev) {
     std::ostringstream why;
     why.precision(6);
@@ -160,19 +139,17 @@ void HealthMonitor::check(const Simulation& sim) {
 
 void HealthMonitor::fail(const Simulation& sim, HealthReport report) {
   std::string dumpNote;
-  if (cfg_.writeFailureDump) {
-    const std::string vtkPath = cfg_.outputPrefix + "_failure.vtk";
-    const std::string jsonPath = cfg_.outputPrefix + "_incident.json";
-    // Dump failures must not mask the divergence diagnosis: report them
-    // inside the thrown error instead of throwing IoError here.
-    try {
-      writeVtkWavefield(vtkPath, sim);
-      atomicWriteFile(jsonPath, incidentJson(report));
-      dumpNote = "; wavefield dump: " + vtkPath + ", incident report: " +
-                 jsonPath;
-    } catch (const std::exception& e) {
-      dumpNote = std::string("; failed to write failure dump: ") + e.what();
-    }
+  const std::string vtkPath = cfg_.outputPrefix + "_failure.vtk";
+  const std::string jsonPath = cfg_.outputPrefix + "_incident.json";
+  // Dump failures must not mask the divergence diagnosis: report them
+  // inside the thrown error instead of throwing IoError here.
+  try {
+    writeVtkWavefield(vtkPath, sim);
+    atomicWriteFile(jsonPath, incidentJson(report));
+    dumpNote =
+        "; wavefield dump: " + vtkPath + ", incident report: " + jsonPath;
+  } catch (const std::exception& e) {
+    dumpNote = std::string("; failed to write failure dump: ") + e.what();
   }
   std::ostringstream what;
   what.precision(6);

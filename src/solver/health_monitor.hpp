@@ -69,19 +69,14 @@ class SolverDivergedError : public std::runtime_error {
 
 struct HealthMonitorConfig {
   /// Trigger when total energy exceeds `maxEnergyGrowthFactor` times the
-  /// previous macro cycle's energy (and both are above `energyFloor`).
-  /// The DG scheme is dissipative up to the bounded input of nucleation
-  /// and gravity forcing, so sustained 100x-per-cycle growth is always an
-  /// instability, never physics.
+  /// previous macro cycle's energy (both above the fixed noise floor
+  /// kEnergyFloor of health_monitor.cpp).  The DG scheme is dissipative
+  /// up to the bounded input of nucleation and gravity forcing, so
+  /// sustained 100x-per-cycle growth is always an instability, never
+  /// physics.
   real maxEnergyGrowthFactor = 100.0;
-  /// Absolute energies below this are noise; growth checks ignore them.
-  real energyFloor = 1e-8;
   /// Prefix for `<prefix>_failure.vtk` and `<prefix>_incident.json`.
   std::string outputPrefix = "run";
-  /// Write the failure wavefield dump + incident report on trigger.
-  bool writeFailureDump = true;
-  /// Energy samples retained for the incident report.
-  int historyLength = 32;
 };
 
 class HealthMonitor {
@@ -100,8 +95,8 @@ class HealthMonitor {
   }
 
   /// Run all checks against the current state; throws SolverDivergedError
-  /// (after writing the failure dump and incident report, if configured)
-  /// when the run has diverged.
+  /// (after writing the failure dump and incident report) when the run
+  /// has diverged.
   void check(const Simulation& sim);
 
   const std::vector<real>& energyHistory() const { return history_; }

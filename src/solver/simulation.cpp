@@ -8,9 +8,9 @@
 #include <cstring>
 #include <limits>
 #include <stdexcept>
-#include <type_traits>
 
 #include "basis/dubiner.hpp"
+#include "common/fnv1a.hpp"
 #include "common/omp_sync.hpp"
 #include "checkpoint/checkpoint.hpp"
 
@@ -255,27 +255,8 @@ std::array<real, kNumQuantities> Simulation::evaluateAt(const Vec3& x) const {
   return evaluate(e, assets_->mesh.toReference(e, x));
 }
 
-namespace {
-
-std::uint64_t fnv1a(std::uint64_t h, const void* p, std::size_t n) {
-  const auto* b = static_cast<const unsigned char*>(p);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= b[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-template <class T>
-std::uint64_t fnv1aOf(std::uint64_t h, const T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  return fnv1a(h, &v, sizeof v);
-}
-
-}  // namespace
-
 std::uint64_t Simulation::configHash() const {
-  std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
+  std::uint64_t h = kFnv1aOffsetBasis;
   h = fnv1aOf(h, cfg_.degree);
   h = fnv1aOf(h, cfg_.cflFraction);
   h = fnv1aOf(h, cfg_.gravity);

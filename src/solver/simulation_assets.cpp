@@ -4,8 +4,8 @@
 #include <array>
 #include <map>
 #include <stdexcept>
-#include <type_traits>
 
+#include "common/fnv1a.hpp"
 #include "common/omp_sync.hpp"
 #include "geometry/reference_tet.hpp"
 #include "kernels/element_kernels.hpp"
@@ -27,27 +27,12 @@ std::array<Vec3, 3> gradXi(const Mesh& mesh, int elem) {
   return {r0, r1, r2};
 }
 
-std::uint64_t fnv1a(std::uint64_t h, const void* p, std::size_t n) {
-  const auto* b = static_cast<const unsigned char*>(p);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= b[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-template <class T>
-std::uint64_t fnv1aOf(std::uint64_t h, const T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  return fnv1a(h, &v, sizeof v);
-}
-
 }  // namespace
 
 std::uint64_t computeAssetHash(const Mesh& mesh,
                                const std::vector<Material>& materialTable,
                                const AssetConfig& cfg) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
+  std::uint64_t h = kFnv1aOffsetBasis;
   h = fnv1aOf(h, cfg.degree);
   h = fnv1aOf(h, cfg.cflFraction);
   h = fnv1aOf(h, cfg.gravity);

@@ -119,17 +119,6 @@ TEST(Health, CflInstabilityTriggersEnergyGrowthCheck) {
   std::remove("health_cfl_incident.json");
 }
 
-TEST(Health, DumplessModeStillThrowsTyped) {
-  auto sim = pulseSim(0.35);
-  HealthMonitorConfig hc;
-  hc.outputPrefix = "health_quiet";
-  hc.writeFailureDump = false;
-  HealthMonitor monitor(hc);
-  sim->debugInjectNonFinite(0);
-  EXPECT_THROW(monitor.check(*sim), SolverDivergedError);
-  EXPECT_FALSE(fileExists("health_quiet_incident.json"));
-}
-
 TEST(Health, IncidentEmbedsRunMetadataAndMetrics) {
   std::remove("health_meta_failure.vtk");
   std::remove("health_meta_incident.json");

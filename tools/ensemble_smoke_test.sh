@@ -2,8 +2,9 @@
 # Ensemble engine smoke, end to end through both drivers:
 #  0. --dry-run validates every member's run options (a negative
 #     `threads` on one sweep axis value exits 2), a malformed --workers
-#     value is rejected (exit 2), and the deleted --fleet-perf /
-#     --no-share-assets options are rejected (exit 2),
+#     value is rejected (exit 2), the deleted --fleet-perf /
+#     --no-share-assets options are rejected (exit 2), and every shipped
+#     examples/sweeps/*.cfg expands with no config_unknown_key warning,
 #  1. expand and run a 4-member quickstart sweep (kernel_path x
 #     batch_size -- non-structural axes, so all members must share ONE
 #     SimulationAssets build), with the fleet status roll-up on,
@@ -79,7 +80,17 @@ for opt in --fleet-perf --no-share-assets; do
   grep -q "unknown option" removed.out \
     || { cat removed.out >&2; fail "$opt not reported as an unknown option"; }
 done
-echo "dry-run validation + bad --workers + removed options: OK"
+# The shipped sweeps use CWD-relative paths, so they run from the root.
+for cfg in "$ROOT"/examples/sweeps/*.cfg; do
+  name=examples/sweeps/${cfg##*/}
+  (cd "$ROOT" && "$ENSEMBLE" --dry-run "$name") > sweep_dry.out 2>&1 \
+    || { cat sweep_dry.out >&2; fail "--dry-run of $name failed"; }
+  if grep -q config_unknown_key sweep_dry.out; then
+    cat sweep_dry.out >&2
+    fail "$name carries a key no run reads"
+  fi
+done
+echo "dry-run validation + bad --workers + removed options + example sweeps: OK"
 
 # ---- 1. clean 4-member sweep ----------------------------------------
 "$ENSEMBLE" --status sweep.cfg > ens.out 2>&1 \
