@@ -4,6 +4,7 @@
 #include <set>
 
 #include "common/errors.hpp"
+#include "telemetry/logging.hpp"
 
 namespace tsg {
 
@@ -37,6 +38,17 @@ bool reservedKey(const std::string& key) {
   return key == "output_prefix" || key == "resume";
 }
 
+/// Warn about the keys of a driver section that nothing read, named by
+/// their qualified path (`ensemble.workrs`), as the run config does for
+/// its own keys.
+void warnUnusedKeys(const ConfigSection& s) {
+  for (const std::string& key : s.unusedKeys()) {
+    const std::string path = s.path() + "." + key;
+    logWarn("config_unknown_key", "unknown configuration key '" + path + "'",
+            {logStr("key", path)});
+  }
+}
+
 }  // namespace
 
 EnsemblePlan expandSweep(const ConfigFile& cfg) {
@@ -57,6 +69,7 @@ EnsemblePlan expandSweep(const ConfigFile& cfg) {
       throw ConfigError("ensemble.mode must be 'cartesian' or 'zip', got '" +
                         mode + "'");
     }
+    warnUnusedKeys(ens);
   }
 
   std::set<std::string> seenKeys;
@@ -78,6 +91,7 @@ EnsemblePlan expandSweep(const ConfigFile& cfg) {
     if (axis.values.empty()) {
       throw ConfigError(s.path() + ".values must list at least one value");
     }
+    warnUnusedKeys(s);
     plan.axes.push_back(std::move(axis));
   }
 

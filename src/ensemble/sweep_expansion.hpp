@@ -28,6 +28,9 @@
 // the base config and the member index.  Duplicate sweep keys, empty
 // value lists, sweeping reserved keys (output_prefix, resume), and keys
 // that address no section in the base file are all hard ConfigErrors.
+// A key of [ensemble] or [[sweep]] that the expansion does not read only
+// warns `config_unknown_key`, naming it by its qualified path
+// (`ensemble.workrs`, `sweep[1].valuse`), like an unread run-config key.
 
 #include <map>
 #include <string>

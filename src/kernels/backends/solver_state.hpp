@@ -12,6 +12,9 @@
 // checkpoints stay interchangeable between them.
 
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
 #include <vector>
 
 #include "common/types.hpp"
@@ -32,13 +35,42 @@ struct SeafloorFace {
   std::vector<real> uplift;  // [nq]
 };
 
+/// A zero-filled real array from calloc.  Large blocks come from
+/// the OS as lazily mapped zero pages, so a page costs neither time nor
+/// memory until something writes it.
+class ZeroedReals {
+ public:
+  ZeroedReals() = default;
+  explicit ZeroedReals(std::size_t n)
+      : data_(static_cast<real*>(std::calloc(n, sizeof(real)))) {
+    if (n > 0 && !data_) {
+      throw std::bad_alloc();
+    }
+  }
+  real* data() { return data_.get(); }
+  const real* data() const { return data_.get(); }
+
+ private:
+  struct Free {
+    void operator()(real* p) const { std::free(p); }
+  };
+  std::unique_ptr<real, Free> data_;
+};
+
 struct SolverState {
   // Immutable context (set once by Simulation's constructor).
   const SimulationAssets* assets = nullptr;
   const SolverConfig* cfg = nullptr;
 
-  // Per-element evolving state.
-  std::vector<real> dofs, stack, tInt, buffer;
+  // Per-element evolving state.  The DOFs are zero-filled up front.  The
+  // derived arrays start as untouched zero pages; Simulation's reset
+  // touches, in parallel, only the slices a batched run writes: tInt of
+  // every element, the stack of elements with stackNeeded, and the buffer
+  // of elements with hasCoarserNeighbor.  Other stack and buffer pages are
+  // never touched.  (The reference backend writes every element's stack,
+  // so it faults those pages in on its first predictor.)
+  std::vector<real> dofs;
+  ZeroedReals stack, tInt, buffer;
 
   // Boundary subsystems (owned by Simulation; null when absent).
   GravityBoundary* gravity = nullptr;

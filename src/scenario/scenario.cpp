@@ -32,11 +32,9 @@ namespace {
 
 std::unique_ptr<Simulation> finishSimulation(std::unique_ptr<Simulation> sim,
                                              const ScenarioBundle& bundle) {
+  // No initial condition means a zero state, which the DOFs already are.
   if (bundle.initial) {
     sim->setInitialCondition(bundle.initial);
-  } else {
-    sim->setInitialCondition(
-        [](const Vec3&, int) { return std::array<real, kNumQuantities>{}; });
   }
   if (bundle.faultInit) {
     sim->setupFault(bundle.faultInit);

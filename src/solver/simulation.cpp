@@ -44,10 +44,11 @@ Simulation::Simulation(std::shared_ptr<const SimulationAssets> assets,
 
   // Per-run evolving state.
   state_.dofs.assign(static_cast<std::size_t>(n) * nbq, 0.0);
-  state_.stack.assign(static_cast<std::size_t>(n) * nbq * (cfg_.degree + 1),
-                      0.0);
-  state_.tInt.assign(static_cast<std::size_t>(n) * nbq, 0.0);
-  state_.buffer.assign(static_cast<std::size_t>(n) * nbq, 0.0);
+  state_.stack =
+      ZeroedReals(static_cast<std::size_t>(n) * nbq * (cfg_.degree + 1));
+  state_.tInt = ZeroedReals(static_cast<std::size_t>(n) * nbq);
+  state_.buffer = ZeroedReals(static_cast<std::size_t>(n) * nbq);
+  resetDerivedState();
 
   // Gravity boundary: replay the asset face list in recorded order, so
   // the per-run face indices coincide with the face table's aux values.
@@ -86,6 +87,33 @@ Simulation::Simulation(std::shared_ptr<const SimulationAssets> assets,
 
   backend_ = makeKernelBackend(state_);
   scheduler_ = std::make_unique<ClusterScheduler>(state_, *backend_);
+}
+
+void Simulation::resetDerivedState() {
+  const SimulationAssets& a = *assets_;
+  const int n = a.mesh.numElements();
+  const std::size_t blockBytes = sizeof(real) * a.nbq;
+  const std::size_t stackBytes = blockBytes * (cfg_.degree + 1);
+  // One pass in the operand order, so the page faults of the slices a run
+  // writes are taken here, in parallel, rather than in its first step.
+  tsanRelease();
+#pragma omp parallel
+  {
+    tsanAcquire();
+#pragma omp for schedule(static)
+    for (int i = 0; i < n; ++i) {
+      const int e = a.orderedElements[i];
+      std::memset(state_.tIntOf(e), 0, blockBytes);
+      if (a.stackNeeded[e]) {
+        std::memset(state_.stackOf(e), 0, stackBytes);
+      }
+      if (a.hasCoarserNeighbor[e]) {
+        std::memset(state_.bufferOf(e), 0, blockBytes);
+      }
+    }
+    tsanRelease();
+  }
+  tsanAcquire();
 }
 
 void Simulation::setInitialCondition(const InitialCondition& f) {
@@ -419,14 +447,14 @@ void Simulation::restoreCheckpoint(const std::string& path) {
 
   // Commit the clock and DOFs last.  The derived per-step buffers (stack,
   // time integrals, LTS buffers) are all recomputed by the predictor phase
-  // at the start of the next macro cycle before anything reads them; zero
-  // them anyway so a restored run never observes pre-restore garbage.
+  // at the start of the next macro cycle before anything reads them.  The
+  // constructor's reset zeroes them anyway, over the same slices it
+  // touched there, so a restored run never reads pre-restore values and
+  // a resume faults in no page the run never writes.
   scheduler_->restoreClock(tick, updates);
   time_ = time;
   state_.dofs = std::move(dofs);
-  std::fill(state_.stack.begin(), state_.stack.end(), 0.0);
-  std::fill(state_.tInt.begin(), state_.tInt.end(), 0.0);
-  std::fill(state_.buffer.begin(), state_.buffer.end(), 0.0);
+  resetDerivedState();
 }
 
 int Simulation::firstNonFiniteElement() const {

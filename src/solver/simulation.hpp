@@ -191,6 +191,10 @@ class Simulation {
   }
 
  private:
+  /// Zero the slices of stack, tInt and buffer that a run writes (see
+  /// SolverState), in parallel.
+  void resetDerivedState();
+
   std::shared_ptr<const SimulationAssets> assets_;
   SolverConfig cfg_;
   const ReferenceMatrices& rm_;

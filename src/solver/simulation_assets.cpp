@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cstring>
 #include <map>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "common/fnv1a.hpp"
 #include "common/omp_sync.hpp"
@@ -25,6 +28,37 @@ std::array<Vec3, 3> gradXi(const Mesh& mesh, int elem) {
   const Vec3 r1 = (1.0 / det) * cross(j[2], j[0]);
   const Vec3 r2 = (1.0 / det) * cross(j[0], j[1]);
   return {r0, r1, r2};
+}
+
+/// The inputs of one operand as raw bit patterns: a key compares bits,
+/// not values, because +0 and -0 are different inputs to the builders.
+template <std::size_t N>
+using OperandKey = std::array<std::uint64_t, N>;
+
+std::uint64_t bitsOf(real x) { return std::bit_cast<std::uint64_t>(x); }
+
+struct OperandKeyHash {
+  template <std::size_t N>
+  std::size_t operator()(const OperandKey<N>& key) const {
+    std::uint64_t h = 0;
+    for (const std::uint64_t w : key) {
+      h = (h ^ w) * 0x9E3779B97F4A7C15ull;
+      h ^= h >> 29;
+    }
+    return h;
+  }
+};
+
+/// Ordered slot of the first slot with the same key; `firsts` collects
+/// the slots that start a new key (the ones the fill computes).
+template <std::size_t N>
+int firstSlotOf(std::unordered_map<OperandKey<N>, int, OperandKeyHash>& seen,
+                const OperandKey<N>& key, int slot, std::vector<int>& firsts) {
+  const auto [it, inserted] = seen.emplace(key, slot);
+  if (inserted) {
+    firsts.push_back(slot);
+  }
+  return it->second;
 }
 
 }  // namespace
@@ -93,8 +127,8 @@ SimulationAssets::SimulationAssets(Mesh meshIn,
 
   // ---- serial discovery pass over (e, f): LTS neighbour flags, the
   // face table (kinds, scales, neighbour relations, aux pre-assignment in
-  // canonical (e, f) order), and the face-frame flux operators of every
-  // material pair in use --------------------------------------------------
+  // canonical (e, f) order), the face-frame flux operators of every
+  // material pair in use, and the source slot of every kernel operand ---
   faceTable.assign(static_cast<std::size_t>(n) * 4, {});
   hasCoarserNeighbor.assign(n, 0);
   stackNeeded.assign(n, 0);
@@ -120,9 +154,41 @@ SimulationAssets::SimulationAssets(Mesh meshIn,
     return it->second;
   };
 
+  // Operand sources: every mesh from the tensor-product mesher repeats
+  // its element and face geometry, so the fill computes each distinct
+  // operand once, at the first ordered slot with the same inputs, and
+  // copies it to the others.  A star operand is keyed by (material id,
+  // grad xi), a flux operand by (faceOps index, face normal, face scale).
+  std::vector<int> starSource(n);  // [orderedElem]
+  // [orderedElem*4 + f]; -1 on faces without a flux-solver matrix.
+  std::vector<int> fluxSource(static_cast<std::size_t>(n) * 4, -1);
+  std::vector<int> firstStars, firstFluxes;  // the slots pass 1 computes
+  std::unordered_map<OperandKey<10>, int, OperandKeyHash> starSeen;
+  std::unordered_map<OperandKey<5>, int, OperandKeyHash> fluxSeen;
+  const auto keyStar = [&](int e) {
+    const int oi = orderedIndexOf[e];
+    OperandKey<10> key{static_cast<std::uint64_t>(mesh.elements[e].material)};
+    const auto g = gradXi(mesh, e);
+    for (int c = 0; c < 3; ++c) {
+      for (int d = 0; d < 3; ++d) {
+        key[1 + 3 * c + d] = bitsOf(g[c][d]);
+      }
+    }
+    starSource[oi] = firstSlotOf(starSeen, key, oi, firstStars);
+  };
+  const auto keyFlux = [&](int e, int f, int opsIndex) {
+    const int slot = orderedIndexOf[e] * 4 + f;
+    const Vec3 normal = mesh.faceNormal(e, f);
+    const OperandKey<5> key = {
+        static_cast<std::uint64_t>(opsIndex), bitsOf(normal[0]),
+        bitsOf(normal[1]), bitsOf(normal[2]), bitsOf(faceTable[slot].scale)};
+    fluxSource[slot] = firstSlotOf(fluxSeen, key, slot, firstFluxes);
+  };
+
   for (int e = 0; e < n; ++e) {
     const real volJ = 6.0 * mesh.volume(e);
     const int mat = mesh.elements[e].material;
+    keyStar(e);
     for (int f = 0; f < 4; ++f) {
       const std::size_t idx = static_cast<std::size_t>(e) * 4 + f;
       const FaceInfo& info = mesh.faces[e][f];
@@ -159,6 +225,7 @@ SimulationAssets::SimulationAssets(Mesh meshIn,
           stackNeeded[info.neighbor] = 1;
         }
         faceOps[idx] = opsOf({mat, mesh.elements[info.neighbor].material, -1});
+        keyFlux(e, f, faceOps[idx]);
         continue;
       }
 
@@ -179,6 +246,7 @@ SimulationAssets::SimulationAssets(Mesh meshIn,
               : info.bc;
       rec.kind = FaceKind::kBoundaryFolded;
       faceOps[idx] = opsOf({mat, -1, static_cast<int>(folded)});
+      keyFlux(e, f, faceOps[idx]);
     }
   }
 
@@ -212,17 +280,23 @@ SimulationAssets::SimulationAssets(Mesh meshIn,
     }
   };
 
-  // Every iteration writes all of its own ordered slots (zeros included)
-  // and reads only the immutable discovery results, so the fill is
+  // Pass 1 computes the first occurrence of every distinct operand, pass 2
+  // copies it to the other slots with the same inputs and zeroes the flux
+  // slots of faces without a flux-solver matrix.  Each slot is written
+  // once, from the immutable discovery results, so the fill is
   // thread-count independent.
+  const int numFirstStars = static_cast<int>(firstStars.size());
+  const int numFirstFluxes = static_cast<int>(firstFluxes.size());
+  constexpr std::size_t kStarBytes = 3 * stride * sizeof(real);
+  constexpr std::size_t kFluxBytes = stride * sizeof(real);
   tsanRelease();
 #pragma omp parallel
   {
     tsanAcquire();
-#pragma omp for schedule(static)
-    for (int i = 0; i < n; ++i) {
-      const int e = orderedElements[i];
-      const std::size_t oi = static_cast<std::size_t>(i);
+#pragma omp for schedule(static) nowait
+    for (int k = 0; k < numFirstStars; ++k) {
+      const std::size_t oi = static_cast<std::size_t>(firstStars[k]);
+      const int e = orderedElements[oi];
       const auto g = gradXi(mesh, e);
       for (int c = 0; c < 3; ++c) {
         const Matrix star = starMatrix(elemMaterial[e], g[c]);
@@ -235,24 +309,49 @@ SimulationAssets::SimulationAssets(Mesh meshIn,
           }
         }
       }
-      for (int f = 0; f < 4; ++f) {
-        const std::size_t idx = static_cast<std::size_t>(e) * 4 + f;
-        real* negMinus = negFluxMinusOut + (oi * 4 + f) * stride;
-        real* negPlus = negFluxPlusOut + (oi * 4 + f) * stride;
-        if (faceOps[idx] < 0) {
+    }
+#pragma omp for schedule(static) nowait
+    for (int k = 0; k < numFirstFluxes; ++k) {
+      const std::size_t slot = static_cast<std::size_t>(firstFluxes[k]);
+      const int e = orderedElements[slot / 4];
+      const int f = static_cast<int>(slot % 4);
+      const FaceRecord& rec = faceTable[slot];
+      const FluxMatrices fm =
+          faceFluxMatrices(ops[faceOps[static_cast<std::size_t>(e) * 4 + f]],
+                           mesh.faceNormal(e, f));
+      storeNegT(fm.fMinus, rec.scale, negFluxMinusOut + slot * stride);
+      real* negPlus = negFluxPlusOut + slot * stride;
+      if (rec.kind == FaceKind::kRegular) {
+        storeNegT(fm.fPlus, rec.scale, negPlus);
+      } else {
+        std::fill_n(negPlus, stride, 0.0);
+      }
+    }
+    tsanRelease();
+#pragma omp barrier
+    tsanAcquire();
+#pragma omp for schedule(static)
+    for (int i = 0; i < n; ++i) {
+      const std::size_t oi = static_cast<std::size_t>(i);
+      const std::size_t src = static_cast<std::size_t>(starSource[i]);
+      if (src != oi) {
+        std::memcpy(starOut + oi * 3 * stride, starOut + src * 3 * stride,
+                    kStarBytes);
+        std::memcpy(negStarOut + oi * 3 * stride,
+                    negStarOut + src * 3 * stride, kStarBytes);
+      }
+      for (std::size_t slot = oi * 4; slot < oi * 4 + 4; ++slot) {
+        real* negMinus = negFluxMinusOut + slot * stride;
+        real* negPlus = negFluxPlusOut + slot * stride;
+        if (fluxSource[slot] < 0) {
           // Gravity / rupture faces use pointwise fluxes.
           std::fill_n(negMinus, stride, 0.0);
           std::fill_n(negPlus, stride, 0.0);
-          continue;
-        }
-        const FaceRecord& rec = faceTable[oi * 4 + f];
-        const FluxMatrices fm =
-            faceFluxMatrices(ops[faceOps[idx]], mesh.faceNormal(e, f));
-        storeNegT(fm.fMinus, rec.scale, negMinus);
-        if (rec.kind == FaceKind::kRegular) {
-          storeNegT(fm.fPlus, rec.scale, negPlus);
-        } else {
-          std::fill_n(negPlus, stride, 0.0);
+        } else if (static_cast<std::size_t>(fluxSource[slot]) != slot) {
+          const std::size_t from =
+              static_cast<std::size_t>(fluxSource[slot]) * stride;
+          std::memcpy(negMinus, negFluxMinusOut + from, kFluxBytes);
+          std::memcpy(negPlus, negFluxPlusOut + from, kFluxBytes);
         }
       }
     }

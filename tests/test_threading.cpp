@@ -11,15 +11,20 @@
 //  * the dynamic-chunk heuristic ltsChunkSize clamps and scales as
 //    documented (solver/cluster_scheduler),
 //  * the threaded SimulationAssets operand fill is bitwise independent
-//    of the thread count.
+//    of the thread count, and its deduplicated slots (computed once per
+//    distinct input, then copied) equal a direct per-slot build.
 
 #include <omp.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <iterator>
+#include <limits>
+#include <map>
 #include <memory>
+#include <random>
 #include <set>
 #include <string>
 #include <thread>
@@ -29,6 +34,8 @@
 
 #include "perf/perf_monitor.hpp"
 #include "perfmodel/pinning.hpp"
+#include "physics/jacobians.hpp"
+#include "physics/riemann.hpp"
 #include "scenario/spec.hpp"
 #include "solver/cluster_scheduler.hpp"
 #include "solver/simulation.hpp"
@@ -240,6 +247,209 @@ TEST(Threading, AssetOperandsBitwiseAcrossThreadCounts) {
   for (std::size_t i = 0; i < digests[0].size(); ++i) {
     EXPECT_EQ(digests[0][i], digests[1][i]) << names[i];
   }
+}
+
+/// The operand slots of SimulationAssets rebuilt directly, one element and
+/// one face at a time, in the same ordered layout.
+struct DirectOperands {
+  std::vector<real> star, negStar, negFluxMinus, negFluxPlus;
+};
+
+DirectOperands buildOperandsDirectly(const SimulationAssets& a) {
+  constexpr int stride = kNumQuantities * kNumQuantities;
+  const Mesh& mesh = a.mesh;
+  const int n = mesh.numElements();
+  DirectOperands d;
+  d.star.assign(static_cast<std::size_t>(n) * 3 * stride, 0.0);
+  d.negStar.assign(d.star.size(), 0.0);
+  d.negFluxMinus.assign(static_cast<std::size_t>(n) * 4 * stride, 0.0);
+  d.negFluxPlus.assign(d.negFluxMinus.size(), 0.0);
+  const auto storeNegT = [](const Matrix& m, real scale, real* dst) {
+    for (int i = 0; i < kNumQuantities; ++i) {
+      for (int j = 0; j < kNumQuantities; ++j) {
+        dst[i * kNumQuantities + j] = -(scale * m(j, i));
+      }
+    }
+  };
+  // Face-frame operators per (minus material, plus material or -1,
+  // folded boundary type or -1), as the asset build chooses them.
+  std::map<std::array<int, 3>, GodunovOperators> ops;
+  const auto opsOf = [&](const std::array<int, 3>& key) -> const auto& {
+    auto it = ops.find(key);
+    if (it == ops.end()) {
+      const Material& m = a.materialTable[key[0]];
+      it = ops.emplace(key, key[1] >= 0
+                                ? godunovOperators(m, a.materialTable[key[1]])
+                                : boundaryOperators(
+                                      m, static_cast<BoundaryType>(key[2])))
+               .first;
+    }
+    return it->second;
+  };
+  for (int i = 0; i < n; ++i) {
+    const std::size_t oi = static_cast<std::size_t>(i);
+    const int e = a.orderedElements[i];
+    const auto j = mesh.jacobianColumns(e);
+    const real det = dot(j[0], cross(j[1], j[2]));
+    const std::array<Vec3, 3> g = {(1.0 / det) * cross(j[1], j[2]),
+                                   (1.0 / det) * cross(j[2], j[0]),
+                                   (1.0 / det) * cross(j[0], j[1])};
+    for (int c = 0; c < 3; ++c) {
+      const Matrix star = starMatrix(a.elemMaterial[e], g[c]);
+      for (int r = 0; r < kNumQuantities; ++r) {
+        for (int k = 0; k < kNumQuantities; ++k) {
+          d.star[(oi * 3 + c) * stride + r * kNumQuantities + k] = star(k, r);
+          d.negStar[(oi * 3 + c) * stride + r * kNumQuantities + k] =
+              -star(k, r);
+        }
+      }
+    }
+    const int mat = mesh.elements[e].material;
+    for (int f = 0; f < 4; ++f) {
+      const FaceRecord& rec = a.faceTable[oi * 4 + f];
+      const FaceInfo& info = mesh.faces[e][f];
+      std::array<int, 3> key;
+      if (rec.kind == FaceKind::kRegular) {
+        key = {mat, mesh.elements[info.neighbor].material, -1};
+      } else if (rec.kind == FaceKind::kBoundaryFolded) {
+        const BoundaryType bc = info.bc == BoundaryType::kGravityFreeSurface
+                                    ? BoundaryType::kFreeSurface
+                                    : info.bc;
+        key = {mat, -1, static_cast<int>(bc)};
+      } else {
+        continue;  // gravity / rupture: pointwise fluxes, zero operands
+      }
+      const FluxMatrices fm =
+          faceFluxMatrices(opsOf(key), mesh.faceNormal(e, f));
+      storeNegT(fm.fMinus, rec.scale,
+                d.negFluxMinus.data() + (oi * 4 + f) * stride);
+      if (rec.kind == FaceKind::kRegular) {
+        storeNegT(fm.fPlus, rec.scale,
+                  d.negFluxPlus.data() + (oi * 4 + f) * stride);
+      }
+    }
+  }
+  return d;
+}
+
+/// First 81-real slot where two operand arrays differ bitwise, or -1.
+long firstDifferingSlot(ConstSpan<real> built,
+                        const std::vector<real>& direct) {
+  constexpr std::size_t stride = kNumQuantities * kNumQuantities;
+  if (built.size() != direct.size()) {
+    return 0;
+  }
+  for (std::size_t s = 0; s < direct.size() / stride; ++s) {
+    if (std::memcmp(built.data() + s * stride, direct.data() + s * stride,
+                    stride * sizeof(real)) != 0) {
+      return static_cast<long>(s);
+    }
+  }
+  return -1;
+}
+
+/// The mesh with every vertex off the domain boundary moved by a seeded
+/// random offset of up to 1e-3 of the shortest edge per component, so
+/// that (almost) no two elements or faces share their operand inputs.
+Mesh jitterInteriorVertices(Mesh mesh) {
+  std::vector<char> onBoundary(mesh.vertices.size(), 0);
+  real shortest = std::numeric_limits<real>::max();
+  for (int e = 0; e < mesh.numElements(); ++e) {
+    const auto& v = mesh.elements[e].vertices;
+    for (int p = 0; p < 4; ++p) {
+      for (int q = p + 1; q < 4; ++q) {
+        shortest = std::min(
+            shortest,
+            std::sqrt(norm2(mesh.vertices[v[p]] - mesh.vertices[v[q]])));
+      }
+    }
+    for (int f = 0; f < 4; ++f) {
+      if (mesh.faces[e][f].neighbor < 0) {
+        for (const int vid : mesh.faceVertices(e, f)) {
+          onBoundary[vid] = 1;
+        }
+      }
+    }
+  }
+  std::mt19937_64 rng(2018);
+  std::uniform_real_distribution<real> offset(-1e-3 * shortest,
+                                              1e-3 * shortest);
+  for (std::size_t v = 0; v < mesh.vertices.size(); ++v) {
+    if (!onBoundary[v]) {
+      for (int c = 0; c < 3; ++c) {
+        mesh.vertices[v][c] += offset(rng);
+      }
+    }
+  }
+  return mesh;
+}
+
+/// A second crust, denser and stiffer by the same factor (same wave
+/// speeds, so the same clusters), on a seeded random half of the crust
+/// elements: elements of equal geometry then differ in their material.
+/// (A pattern in the element index would follow the mesher's per-hex
+/// tet numbering, and so the geometry.)
+void alternateCrustMaterial(Mesh& mesh, std::vector<Material>& materials) {
+  const int crust = static_cast<int>(std::find_if(materials.begin(),
+                                                  materials.end(),
+                                                  [](const Material& m) {
+                                                    return !m.isAcoustic();
+                                                  }) -
+                                     materials.begin());
+  ASSERT_LT(crust, static_cast<int>(materials.size()));
+  Material denser = materials[crust];
+  denser.rho *= 1.1;
+  denser.lambda *= 1.1;
+  denser.mu *= 1.1;
+  materials.push_back(denser);
+  std::mt19937_64 rng(2021);
+  std::bernoulli_distribution coin(0.5);
+  for (int e = 0; e < mesh.numElements(); ++e) {
+    if (mesh.elements[e].material == crust && coin(rng)) {
+      mesh.elements[e].material = static_cast<int>(materials.size()) - 1;
+    }
+  }
+}
+
+// The asset fill computes each distinct (material, grad xi) star operand
+// and each distinct (operator set, normal, scale) flux operand once and
+// copies it to every other slot with the same inputs.  Every slot must
+// equal a direct build from its own element and face, at 1 and 4 threads,
+// on the megathrust preset (heavy repetition), on a copy with jittered
+// interior vertices (next to none), and on a copy whose equal geometry
+// carries two crust materials.  A key that dropped the material, the
+// normal or the scale would copy an operand to a slot it does not fit.
+TEST(Threading, AssetOperandsMatchDirectBuild) {
+  const int saved = omp_get_max_threads();
+  const ScenarioBundle bundle = megathrustPreset();
+  const AssetConfig cfg = AssetConfig::fromSolverConfig(bundle.solver);
+  for (const std::string variant : {"preset", "jittered", "two crusts"}) {
+    SCOPED_TRACE(variant);
+    Mesh mesh = bundle.mesh;
+    std::vector<Material> materials = bundle.materials;
+    if (variant == "jittered") {
+      mesh = jitterInteriorVertices(std::move(mesh));
+    } else if (variant == "two crusts") {
+      alternateCrustMaterial(mesh, materials);
+    }
+    std::unique_ptr<DirectOperands> direct;
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE("threads = " + std::to_string(threads));
+      omp_set_num_threads(threads);
+      const SimulationAssets a(mesh, materials, cfg);
+      if (!direct) {
+        direct = std::make_unique<DirectOperands>(buildOperandsDirectly(a));
+      }
+      EXPECT_EQ(firstDifferingSlot(a.starTB, direct->star), -1) << "starTB";
+      EXPECT_EQ(firstDifferingSlot(a.negStarTB, direct->negStar), -1)
+          << "negStarTB";
+      EXPECT_EQ(firstDifferingSlot(a.negFluxMinusTB, direct->negFluxMinus), -1)
+          << "negFluxMinusTB";
+      EXPECT_EQ(firstDifferingSlot(a.negFluxPlusTB, direct->negFluxPlus), -1)
+          << "negFluxPlusTB";
+    }
+  }
+  omp_set_num_threads(saved);
 }
 
 TEST(Threading, PerfThreadRecorderMergesPerClusterSums) {

@@ -4,11 +4,15 @@
 #   exit 2  configuration errors (invalid values, trailing garbage, typos)
 #   exit 3  solver divergence (+ *_failure.vtk and *_incident.json)
 #   exit 4  I/O failures (missing/corrupt checkpoint, unwritable output)
+# and, for the sweep driver, that a key of [ensemble] or [[sweep]] that no
+# expansion reads warns (config_unknown_key) under its qualified name.
 # Usage: cli_robustness_test.sh <path-to-tsunamigen_cli> <workdir>
+#                               <path-to-tsunamigen_ensemble>
 set -u
 
 CLI=$1
 DIR=$2
+ENSEMBLE=$3
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
 QS="$ROOT/examples/presets/quickstart.cfg"
 rm -rf "$DIR"
@@ -78,6 +82,35 @@ deterministic = true
 expect_exit 0 removed_key removed_key.cfg
 grep -q "config_unknown_key: unknown configuration key 'deterministic'" removed_key.err \
   || fail "removed_key: no config_unknown_key warning naming 'deterministic'"
+
+# A typo in a sweep driver section is reported, not silently dropped: the
+# dry-run still succeeds, but names the key with its section.
+printf 'preset = %s
+end_time = 0.05
+output_prefix = typo
+[ensemble]
+workrs = 2
+[[sweep]]
+key = cfl_fraction
+values = 0.3, 0.35
+' "$QS" > ensemble_typo.cfg
+"$ENSEMBLE" --dry-run ensemble_typo.cfg > ensemble_typo.out 2> ensemble_typo.err \
+  || { cat ensemble_typo.err >&2; fail "ensemble_typo: dry-run failed"; }
+grep -q "config_unknown_key: unknown configuration key 'ensemble.workrs'" ensemble_typo.err \
+  || { cat ensemble_typo.err >&2; fail "ensemble_typo: no warning naming 'ensemble.workrs'"; }
+
+printf 'preset = %s
+end_time = 0.05
+output_prefix = extra
+[[sweep]]
+key = cfl_fraction
+values = 0.3, 0.35
+valuse = 0.4
+' "$QS" > sweep_extra.cfg
+"$ENSEMBLE" --dry-run sweep_extra.cfg > sweep_extra.out 2> sweep_extra.err \
+  || { cat sweep_extra.err >&2; fail "sweep_extra: dry-run failed"; }
+grep -q "config_unknown_key: unknown configuration key 'sweep\[0\].valuse'" sweep_extra.err \
+  || { cat sweep_extra.err >&2; fail "sweep_extra: no warning naming 'sweep[0].valuse'"; }
 
 # --- exit 4: I/O failures ---------------------------------------------------
 printf 'preset = %s\nend_time = 1\nresume = missing.tsgck\n' "$QS" > noresume.cfg
