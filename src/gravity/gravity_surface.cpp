@@ -134,12 +134,7 @@ void GravityBoundary::restoreState(BinaryReader& r) {
         std::to_string(n) + ", live " + std::to_string(faces_.size()) + ")");
   }
   for (auto& gf : faces_) {
-    std::vector<real> eta = r.readRealVec();
-    if (eta.size() != gf.eta.size()) {
-      throw CheckpointError(
-          "checkpoint: gravity-surface quadrature size mismatch");
-    }
-    gf.eta = std::move(eta);
+    r.readRealVecInto(gf.eta, "gravity-surface quadrature size");
   }
 }
 

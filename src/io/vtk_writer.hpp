@@ -1,9 +1,12 @@
 #pragma once
 
-// Legacy-VTK (ASCII) output of tetrahedral wavefields and sea-surface
-// point clouds -- the paper's production runs write free-surface and
-// receiver output during the simulation (Sec. 6.2); this is the
-// equivalent offline visualisation path for ParaView/VisIt.
+// Legacy-VTK output of tetrahedral wavefields and sea-surface point
+// clouds -- the paper's production runs write free-surface and receiver
+// output during the simulation (Sec. 6.2); this is the equivalent offline
+// visualisation path for ParaView/VisIt.  Files are legacy-VTK BINARY:
+// ASCII section headers, each followed by a big-endian array (`double`
+// for points and fields, 32-bit `int` for connectivity and cell types),
+// so every value is written exactly.
 
 #include <map>
 #include <string>

@@ -306,48 +306,47 @@ void Simulation::saveCheckpoint(const std::string& path) const {
         "boundaries (call between advanceTo calls or from onMacroStep)");
   }
   PerfSpan span(perf_.get(), "checkpoint_save");
-  BinaryWriter w;
-  w.writeI64(scheduler_->tick());
-  w.writeReal(time_);
-  w.writeU64(scheduler_->elementUpdates());
-  w.writeRealVec(state_.dofs);
-  w.writeU32(gravity_ ? 1 : 0);
-  if (gravity_) {
-    gravity_->saveState(w);
-  }
-  w.writeU32(fault_ ? 1 : 0);
-  if (fault_) {
-    fault_->saveState(w);
-  }
-  w.writeU64(state_.seafloorFaces.size());
-  for (const auto& sf : state_.seafloorFaces) {
-    w.writeRealVec(sf.uplift);
-  }
-  w.writeU64(state_.receivers.size());
-  for (const auto& r : state_.receivers) {
-    w.writeString(r.name);
-    w.writeRealVec(r.times);
-    w.writeU64(r.samples.size());
-    for (const auto& s : r.samples) {
-      for (int q = 0; q < kNumQuantities; ++q) {
-        w.writeReal(s[q]);
-      }
-    }
-  }
-
   CheckpointHeader h;
   h.degree = static_cast<std::uint32_t>(cfg_.degree);
   h.numElements = static_cast<std::uint64_t>(assets_->mesh.numElements());
   h.configHash = configHash();
   h.assetHash = assets_->assetHash;
   h.scenarioHash = scenarioHash_;
-  writeCheckpointFile(path, h, w.takeBuffer());
+  writeCheckpointFile(path, h, [&](BinaryWriter& w) {
+    w.writeI64(scheduler_->tick());
+    w.writeReal(time_);
+    w.writeU64(scheduler_->elementUpdates());
+    w.writeRealVec(state_.dofs);
+    w.writeU32(gravity_ ? 1 : 0);
+    if (gravity_) {
+      gravity_->saveState(w);
+    }
+    w.writeU32(fault_ ? 1 : 0);
+    if (fault_) {
+      fault_->saveState(w);
+    }
+    w.writeU64(state_.seafloorFaces.size());
+    for (const auto& sf : state_.seafloorFaces) {
+      w.writeRealVec(sf.uplift);
+    }
+    w.writeU64(state_.receivers.size());
+    for (const auto& r : state_.receivers) {
+      w.writeString(r.name);
+      w.writeRealVec(r.times);
+      w.writeU64(r.samples.size());
+      for (const auto& s : r.samples) {
+        for (int q = 0; q < kNumQuantities; ++q) {
+          w.writeReal(s[q]);
+        }
+      }
+    }
+  });
 }
 
 void Simulation::restoreCheckpoint(const std::string& path) {
   PerfSpan span(perf_.get(), "checkpoint_restore");
-  std::string payload;
-  const CheckpointHeader h = readCheckpointFile(path, payload);
+  const CheckpointFile file = readCheckpointFile(path);
+  const CheckpointHeader& h = file.header;
   if (h.degree != static_cast<std::uint32_t>(cfg_.degree)) {
     throw CheckpointError("checkpoint " + path + ": degree mismatch (file " +
                           std::to_string(h.degree) + ", live " +
@@ -381,14 +380,11 @@ void Simulation::restoreCheckpoint(const std::string& path) {
         "different scenario/member config)");
   }
 
-  BinaryReader r(std::move(payload));
+  BinaryReader r(file.payload());
   const std::int64_t tick = r.readI64();
   const real time = r.readReal();
   const std::uint64_t updates = r.readU64();
-  std::vector<real> dofs = r.readRealVec();
-  if (dofs.size() != state_.dofs.size()) {
-    throw CheckpointError("checkpoint " + path + ": DOF count mismatch");
-  }
+  r.readRealVecInto(state_.dofs, "DOF count");
   const bool hasGravity = r.readU32() != 0;
   if (hasGravity != (gravity_ != nullptr)) {
     throw CheckpointError("checkpoint " + path +
@@ -413,12 +409,7 @@ void Simulation::restoreCheckpoint(const std::string& path) {
                           ": seafloor face count mismatch");
   }
   for (auto& sf : state_.seafloorFaces) {
-    std::vector<real> uplift = r.readRealVec();
-    if (uplift.size() != sf.uplift.size()) {
-      throw CheckpointError("checkpoint " + path +
-                            ": seafloor quadrature size mismatch");
-    }
-    sf.uplift = std::move(uplift);
+    r.readRealVecInto(sf.uplift, "seafloor quadrature size");
   }
   const std::uint64_t nReceivers = r.readU64();
   if (nReceivers != state_.receivers.size()) {
@@ -445,7 +436,9 @@ void Simulation::restoreCheckpoint(const std::string& path) {
     }
   }
 
-  // Commit the clock and DOFs last.  The derived per-step buffers (stack,
+  // Commit the clock last.  The state above is read straight into place,
+  // so a restore that throws leaves it partly overwritten: build a fresh
+  // simulation to try another file.  The derived per-step buffers (stack,
   // time integrals, LTS buffers) are all recomputed by the predictor phase
   // at the start of the next macro cycle before anything reads them.  The
   // constructor's reset zeroes them anyway, over the same slices it
@@ -453,7 +446,6 @@ void Simulation::restoreCheckpoint(const std::string& path) {
   // a resume faults in no page the run never writes.
   scheduler_->restoreClock(tick, updates);
   time_ = time;
-  state_.dofs = std::move(dofs);
   resetDerivedState();
 }
 

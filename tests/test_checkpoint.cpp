@@ -4,17 +4,23 @@
 //    continues bitwise-identically (receiver CSVs byte-compare equal),
 //  * header/CRC validation rejects truncated, bit-flipped, wrong-degree,
 //    and wrong-config files with descriptive errors,
-//  * atomic temp+rename writes never clobber the previous checkpoint,
+//  * the streamed writer's slicing-by-8 CRC matches a bytewise reference,
+//    and a payload spanning several writer buffers round-trips,
+//  * atomic temp+rename writes never clobber the previous checkpoint and
+//    leave no staging file when they fail,
 //  * the asset hash in the header depends on mesh field values only.
 
 #include <omp.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <cmath>
+#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <string>
 
@@ -78,14 +84,55 @@ TEST(Checkpoint, Crc32KnownVector) {
   EXPECT_EQ(crc32(data, 0), 0u);
 }
 
+TEST(Checkpoint, Crc32SlicingMatchesBytewiseReference) {
+  // Bit-at-a-time CRC-32 over the same reflected polynomial.
+  auto reference = [](const unsigned char* p, std::size_t n) {
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < n; ++i) {
+      c ^= p[i];
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+    }
+    return c ^ 0xFFFFFFFFu;
+  };
+  std::mt19937 rng(7);
+  std::vector<unsigned char> data(8 + 80);
+  for (auto& b : data) {
+    b = static_cast<unsigned char>(rng());
+  }
+  int mismatches = 0;
+  for (std::size_t start = 0; start < 8; ++start) {  // unaligned starts
+    for (std::size_t len = 0; len <= 80; ++len) {
+      const unsigned char* p = data.data() + start;
+      const std::uint32_t want = reference(p, len);
+      mismatches += crc32(p, len) != want;
+      for (std::size_t split = 0; split <= len; ++split) {
+        mismatches += crc32(p + split, len - split, crc32(p, split)) != want;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
 TEST(Checkpoint, BinaryRoundTrip) {
-  BinaryWriter w;
-  w.writeI64(-42);
-  w.writeReal(3.25);
-  w.writeRealVec({1.0, 2.0, 3.0});
-  w.writeString("receiver-a");
-  w.writeU32(7);
-  BinaryReader r(w.takeBuffer());
+  const std::string path = "ckpt_binary.bin";
+  {
+    AtomicFile file(path);
+    BinaryWriter w(file);
+    w.writeI64(-42);
+    w.writeReal(3.25);
+    w.writeRealVec({1.0, 2.0, 3.0});
+    w.writeString("receiver-a");
+    w.writeU32(7);
+    w.flush();
+    file.commit();
+    EXPECT_EQ(w.size(), fileBytes(path).size());
+    EXPECT_EQ(w.crc(), crc32(fileBytes(path).data(), w.size()));
+  }
+  const std::string bytes = fileBytes(path);
+  std::remove(path.c_str());
+  BinaryReader r(bytes);
   EXPECT_EQ(r.readI64(), -42);
   EXPECT_EQ(r.readReal(), 3.25);
   EXPECT_EQ(r.readRealVec(), (std::vector<real>{1.0, 2.0, 3.0}));
@@ -215,6 +262,7 @@ TEST(Checkpoint, FlippedPayloadByteIsRejectedByCrc) {
   sim->advanceTo(sim->macroDt() - 1e-12);
   sim->saveCheckpoint(path);
   std::string bytes = fileBytes(path);
+  ASSERT_LT(bytes.size(), BinaryWriter::kBufferSize);  // one writer buffer
   bytes[bytes.size() - 7] ^= 0x10;  // flip one payload bit
   atomicWriteFile(path, bytes);
   try {
@@ -315,16 +363,66 @@ TEST(Checkpoint, AtomicWriteSurvivesStaleTempAndFailedRewrite) {
     stale << "partial garbage from a crashed writer";
   }
   sim->saveCheckpoint(path);
-  std::string payload;
-  EXPECT_NO_THROW(readCheckpointFile(path, payload));
+  EXPECT_NO_THROW(readCheckpointFile(path));
   std::remove((path + ".tmp.12345").c_str());
 
   // A failed write (unwritable directory) throws IoError and leaves the
   // previous checkpoint untouched.
   EXPECT_THROW(
       sim->saveCheckpoint("ckpt_no_such_dir/sub/ckpt.tsgck"), IoError);
-  EXPECT_EQ(fileBytes(path), fileBytes(path));  // still readable
-  EXPECT_NO_THROW(readCheckpointFile(path, payload));
+  // Both saves ran at the same state, so the surviving file is `good`.
+  EXPECT_EQ(fileBytes(path), good);
+  EXPECT_NO_THROW(readCheckpointFile(path));
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, MultiBufferPayloadRoundTripsAndFailsCleanly) {
+  // The small box's payload fits in one writer buffer; the megathrust
+  // one spans several (its DOF block goes straight from the state, the
+  // fields around it through the buffer), so this covers the running
+  // size and CRC across flushes.
+  const std::string path = "ckpt_multi.tsgck";
+  const std::string again = "ckpt_multi_again.tsgck";
+  auto a = presetSim("megathrust");
+  a->advanceTo(a->macroDt() - 1e-12);
+  a->saveCheckpoint(path);
+  const std::string bytes = fileBytes(path);
+  ASSERT_GT(bytes.size(), 4 * BinaryWriter::kBufferSize);
+
+  // save -> restore into a fresh simulation -> save gives the same file.
+  auto b = presetSim("megathrust");
+  b->restoreCheckpoint(path);
+  b->saveCheckpoint(again);
+  EXPECT_TRUE(fileBytes(again) == bytes);
+
+  // A byte flipped in the last buffer is caught by the CRC.
+  std::string corrupt = bytes;
+  corrupt[corrupt.size() - 3] ^= 0x01;
+  atomicWriteFile(again, corrupt);
+  try {
+    b->restoreCheckpoint(again);
+    FAIL() << "corrupt checkpoint accepted";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("CRC"), std::string::npos)
+        << e.what();
+  }
+  std::remove(again.c_str());
+
+  // A write that fails mid-stream (the file-size limit is hit inside the
+  // DOF block) throws IoError, leaves no staging file, and keeps the
+  // previous checkpoint.
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  rlimit capped = saved;
+  capped.rlim_cur = 2 * BinaryWriter::kBufferSize;
+  const auto oldHandler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+  EXPECT_THROW(a->saveCheckpoint(path), IoError);
+  ::setrlimit(RLIMIT_FSIZE, &saved);
+  std::signal(SIGXFSZ, oldHandler);
+  EXPECT_FALSE(
+      std::ifstream(path + ".tmp." + std::to_string(::getpid())).is_open());
+  EXPECT_TRUE(fileBytes(path) == bytes);
   std::remove(path.c_str());
 }
 

@@ -1,5 +1,7 @@
 #include <omp.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <complex>
 #include <cstdio>
@@ -157,6 +159,155 @@ TEST(Kajiura, ShortWavelengthsSuppressedMoreThanLong) {
   EXPECT_GT(longWave, 4 * shortWave);
 }
 
+/// Reader for the legacy-VTK BINARY files the writers produce: ASCII
+/// lines, each array a run of big-endian values closed by a newline.
+class VtkBinaryReader {
+ public:
+  explicit VtkBinaryReader(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    bytes_ = ss.str();
+  }
+
+  std::string line() {
+    const std::size_t end = bytes_.find('\n', pos_);
+    if (end == std::string::npos) {
+      ADD_FAILURE() << "missing line at byte " << pos_;
+      return {};
+    }
+    std::string l = bytes_.substr(pos_, end - pos_);
+    pos_ = end + 1;
+    return l;
+  }
+
+  template <class T>
+  std::vector<T> array(std::size_t n) {
+    std::vector<T> v(n);
+    if (pos_ + n * sizeof(T) + 1 > bytes_.size()) {
+      ADD_FAILURE() << "array of " << n << " runs past the end";
+      return v;
+    }
+    for (T& x : v) {
+      char b[sizeof(T)];
+      std::memcpy(b, bytes_.data() + pos_, sizeof b);
+      if constexpr (std::endian::native == std::endian::little) {
+        std::reverse(b, b + sizeof b);
+      }
+      std::memcpy(&x, b, sizeof b);
+      pos_ += sizeof b;
+    }
+    EXPECT_EQ(bytes_[pos_], '\n') << "array not closed by a newline";
+    ++pos_;
+    return v;
+  }
+
+  bool atEnd() const { return pos_ == bytes_.size(); }
+
+ private:
+  std::string bytes_;
+  std::size_t pos_ = 0;
+};
+
+TEST(Vtk, BinaryFilesParseBackBitwise) {
+  // Wavefield: the seeded coupled box, every cell value nonzero.
+  const auto sim = seededCoupledBox(2, 45u);
+  const Mesh& mesh = sim->mesh();
+  const auto cells = wavefieldCellData(*sim);
+  const std::string path = "tsg_test_wavefield_binary.vtk";
+  writeVtkWavefield(path, *sim);
+  VtkBinaryReader r(path);
+  EXPECT_EQ(r.line(), "# vtk DataFile Version 3.0");
+  EXPECT_EQ(r.line(), "tsunamigen mesh");
+  EXPECT_EQ(r.line(), "BINARY");
+  EXPECT_EQ(r.line(), "DATASET UNSTRUCTURED_GRID");
+  const std::size_t nv = mesh.vertices.size();
+  const std::size_t n = mesh.elements.size();
+  EXPECT_EQ(r.line(), "POINTS " + std::to_string(nv) + " double");
+  const auto points = r.array<double>(3 * nv);
+  int mismatches = 0;
+  for (std::size_t v = 0; v < nv; ++v) {
+    mismatches += std::memcmp(&points[3 * v], mesh.vertices[v].data(),
+                              3 * sizeof(double)) != 0;
+  }
+  EXPECT_EQ(r.line(),
+            "CELLS " + std::to_string(n) + " " + std::to_string(5 * n));
+  const auto conn = r.array<std::int32_t>(5 * n);
+  for (std::size_t e = 0; e < n; ++e) {
+    mismatches += conn[5 * e] != 4;
+    for (int k = 0; k < 4; ++k) {
+      mismatches += conn[5 * e + 1 + k] != mesh.elements[e].vertices[k];
+    }
+  }
+  EXPECT_EQ(r.line(), "CELL_TYPES " + std::to_string(n));
+  for (std::int32_t type : r.array<std::int32_t>(n)) {
+    mismatches += type != 10;  // VTK_TETRA
+  }
+  EXPECT_EQ(r.line(), "CELL_DATA " + std::to_string(n));
+  for (const auto& [name, values] : cells) {  // std::map: name order
+    EXPECT_EQ(r.line(), "SCALARS " + name + " double 1");
+    EXPECT_EQ(r.line(), "LOOKUP_TABLE default");
+    const auto got = r.array<double>(n);
+    mismatches += std::memcmp(got.data(), values.data(), n * sizeof(double));
+  }
+  EXPECT_TRUE(r.atEnd());
+  EXPECT_EQ(mismatches, 0);
+  std::remove(path.c_str());
+
+  // Sea surface: a gravity box one macro step after a pressure pulse, so
+  // eta is nonzero.
+  BoxMeshSpec spec;
+  spec.xLines = uniformLine(0, 1000, 2);
+  spec.yLines = uniformLine(0, 1000, 2);
+  spec.zLines = uniformLine(-800, 0, 2);
+  spec.boundary = [](const Vec3&, const Vec3& nrm) {
+    return nrm[2] > 0.5 ? BoundaryType::kGravityFreeSurface
+                        : BoundaryType::kAbsorbing;
+  };
+  SolverConfig cfg;
+  cfg.degree = 2;
+  Simulation tank(buildBoxMesh(spec), {Material::acoustic(1000, 1500)}, cfg);
+  tank.setInitialCondition([](const Vec3& x, int) {
+    std::array<real, kNumQuantities> q{};
+    q[kSxx] = q[kSyy] = q[kSzz] =
+        -1e3 * std::exp(-norm2(x - Vec3{500, 500, -200}) / 4e4);
+    return q;
+  });
+  tank.advanceTo(tank.macroDt() - 1e-12);
+  const auto samples = tank.seaSurface();
+  ASSERT_FALSE(samples.empty());
+  const std::size_t ns = samples.size();
+  const std::string spath = "tsg_test_surface_binary.vtk";
+  writeVtkSurface(spath, samples);
+  VtkBinaryReader sr(spath);
+  EXPECT_EQ(sr.line(), "# vtk DataFile Version 3.0");
+  EXPECT_EQ(sr.line(), "tsunamigen sea surface");
+  EXPECT_EQ(sr.line(), "BINARY");
+  EXPECT_EQ(sr.line(), "DATASET POLYDATA");
+  EXPECT_EQ(sr.line(), "POINTS " + std::to_string(ns) + " double");
+  const auto spoints = sr.array<double>(3 * ns);
+  EXPECT_EQ(sr.line(),
+            "VERTICES " + std::to_string(ns) + " " + std::to_string(2 * ns));
+  const auto verts = sr.array<std::int32_t>(2 * ns);
+  EXPECT_EQ(sr.line(), "POINT_DATA " + std::to_string(ns));
+  EXPECT_EQ(sr.line(), "SCALARS eta double 1");
+  EXPECT_EQ(sr.line(), "LOOKUP_TABLE default");
+  const auto eta = sr.array<double>(ns);
+  EXPECT_TRUE(sr.atEnd());
+  int nonzero = 0;
+  for (std::size_t i = 0; i < ns; ++i) {
+    const real xyz[3] = {samples[i].x, samples[i].y, samples[i].eta};
+    mismatches += std::memcmp(&spoints[3 * i], xyz, sizeof xyz) != 0;
+    mismatches += verts[2 * i] != 1 ||
+                  verts[2 * i + 1] != static_cast<std::int32_t>(i);
+    mismatches += std::memcmp(&eta[i], &samples[i].eta, sizeof(real)) != 0;
+    nonzero += samples[i].eta != 0;
+  }
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_GT(nonzero, 0);
+  std::remove(spath.c_str());
+}
+
 TEST(Vtk, WritesWellFormedFiles) {
   BoxMeshSpec spec;
   spec.xLines = uniformLine(0, 1, 2);
@@ -172,6 +323,9 @@ TEST(Vtk, WritesWellFormedFiles) {
   std::string line;
   std::getline(in, line);
   EXPECT_EQ(line, "# vtk DataFile Version 3.0");
+  std::getline(in, line);
+  std::getline(in, line);
+  EXPECT_EQ(line, "BINARY");
   std::stringstream ss;
   ss << in.rdbuf();
   const std::string body = ss.str();
@@ -193,7 +347,9 @@ TEST(Vtk, SurfaceFile) {
   std::stringstream ss;
   ss << in.rdbuf();
   const std::string body = ss.str();
+  EXPECT_NE(body.find("\nBINARY\n"), std::string::npos);
   EXPECT_NE(body.find("POINTS 3 double"), std::string::npos);
+  EXPECT_NE(body.find("VERTICES 3 6"), std::string::npos);
   EXPECT_NE(body.find("SCALARS eta double 1"), std::string::npos);
   std::remove(path.c_str());
 }

@@ -4,7 +4,10 @@
 #  2. start the same run with periodic checkpointing and SIGKILL it right
 #     after the first checkpoint appears (simulating a mid-run crash),
 #  3. resume from that checkpoint to END_TIME,
-#  4. assert the receiver CSVs of (1) and (3) are byte-identical.
+#  4. assert the receiver CSVs and the VTK wavefield and sea-surface files
+#     of (1) and (3) are byte-identical.  The VTK holds every DOF-derived
+#     cell value and every eta exactly (binary doubles), so this checks
+#     that the resumed run ends in the uninterrupted run's full state.
 # Usage: checkpoint_resume_test.sh <path-to-tsunamigen_cli> <workdir>
 set -u
 
@@ -22,7 +25,7 @@ fail() {
 }
 
 common() {
-  printf 'preset = %s\ndegree = 2\nsnapshots = 1\nvtk_output = false\n' \
+  printf 'preset = %s\ndegree = 2\nsnapshots = 1\nvtk_output = true\n' \
     "$ROOT/examples/presets/megathrust.cfg"
 }
 
@@ -56,10 +59,15 @@ echo "resuming from $CKPT"
 "$CLI" res.cfg > res.out 2>&1 || { cat res.out >&2; fail "resumed run failed"; }
 grep -q "resumed from" res.out || fail "resumed run did not report the restore"
 
-# 4. Byte-identical receiver output.
+# 4. Byte-identical receiver and VTK output.
 for r in water crust; do
   cmp "full_receiver_$r.csv" "res_receiver_$r.csv" \
     || fail "receiver $r differs between uninterrupted and resumed runs"
 done
+for v in wavefield surface; do
+  [ -f "full_$v.vtk" ] || fail "reference run wrote no $v VTK"
+  cmp "full_$v.vtk" "res_$v.vtk" \
+    || fail "$v VTK differs between uninterrupted and resumed runs"
+done
 
-echo "checkpoint_resume: OK (resumed from $CKPT, receivers byte-identical)"
+echo "checkpoint_resume: OK (resumed from $CKPT, receivers and VTK byte-identical)"
