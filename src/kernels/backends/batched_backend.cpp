@@ -7,12 +7,30 @@
 
 namespace tsg {
 
+namespace {
+
+/// Copies the star operands (3 x 81 reals each) of `width` lanes, lane
+/// `i`'s from operandOf(i), into `out` lane-major: the contiguous operand
+/// the batched star kernels read.
+template <class OperandOf>
+void gatherStars(OperandOf operandOf, int width, real* out) {
+  constexpr std::size_t n = SimulationAssets::kStarReals;
+  for (int lane = 0; lane < width; ++lane) {
+    std::memcpy(out + static_cast<std::size_t>(lane) * n, operandOf(lane),
+                n * sizeof(real));
+  }
+}
+
+}  // namespace
+
 BatchedBackend::BatchedBackend(SolverState& state)
     : KernelBackend(state),
       ba_(state.assets->batchedAssets(state.cfg->batchSize)),
-      tileScratchSize_(static_cast<std::size_t>(state.cfg->degree + 3) *
-                       state.assets->rm.nb * kNumQuantities *
-                       ba_->layout.batchSize()) {}
+      starTileOffset_(static_cast<std::size_t>(state.cfg->degree + 3) *
+                      state.assets->rm.nb * kNumQuantities *
+                      ba_->layout.batchSize()),
+      tileScratchSize_(starTileOffset_ + SimulationAssets::kStarReals *
+                                             ba_->layout.batchSize()) {}
 
 void BatchedBackend::runPredictorTile(int cluster, std::size_t tile,
                                       bool resetBuffer) {
@@ -33,15 +51,14 @@ void BatchedBackend::predictorBatch(const ElementBatch& batch, bool reset) {
   const int* elems = ba.layout.elements().data() + batch.begin;
   const std::size_t tileSize = static_cast<std::size_t>(rm.nb) * ld;
   real* stackTiles = backendThreadScratch(1, tileScratchSize_);
+  real* negStarTile = stackTiles + starTileOffset_;
   real* scratchTile = stackTiles + (s_.cfg->degree + 1) * tileSize;
   real* tIntTile = scratchTile + tileSize;
-  const real* negStarTB =
-      ba.negStarTB.data() +
-      static_cast<std::size_t>(batch.begin) * 3 * kNumQuantities *
-          kNumQuantities;
 
   gatherTile(s_.dofs.data(), elems, width, rm.nb, a.nbq, ld, stackTiles);
-  batchedAderPredictor(rm, negStarTB, stackTiles, scratchTile, width, ld);
+  gatherStars([&](int lane) { return a.negStarOf(batch.begin + lane); }, width,
+              negStarTile);
+  batchedAderPredictor(rm, negStarTile, stackTiles, scratchTile, width, ld);
   const real dt =
       a.clusters.dtMin * static_cast<real>(a.clusters.spanOf(batch.cluster));
   batchedTaylorIntegrate(rm, stackTiles, 0.0, dt, tIntTile, width, ld);
@@ -89,14 +106,12 @@ void BatchedBackend::correctorBatch(const ElementBatch& batch,
   const int ld = kNumQuantities * ba.layout.batchSize();
   const int* elems = ba.layout.elements().data() + batch.begin;
   const std::size_t tileSize = static_cast<std::size_t>(rm.nb) * ld;
-  const int stride = kNumQuantities * kNumQuantities;
   // The batch's face records and operand slots, [lane*4 + f].
   const std::size_t firstFace = static_cast<std::size_t>(batch.begin) * 4;
   const FaceRecord* faces = a.faceTable.data() + firstFace;
-  const real* negFluxMinusTB = ba.negFluxMinusTB.data() + firstFace * stride;
-  const real* negFluxPlusTB = ba.negFluxPlusTB.data() + firstFace * stride;
 
   real* dofTile = backendThreadScratch(1, tileScratchSize_);
+  real* starTile = dofTile + starTileOffset_;
   real* tIntTile = dofTile + tileSize;
   real* faceScratch = tIntTile + tileSize;
   // Fourth scratch tile (degree >= 1, enforced by referenceMatrices,
@@ -116,9 +131,10 @@ void BatchedBackend::correctorBatch(const ElementBatch& batch,
   gatherTile(s_.dofs.data(), elems, width, rm.nb, a.nbq, ld, dofTile);
   gatherTile(s_.tInt.data(), elems, width, rm.nb, a.nbq, ld, tIntTile);
 
-  const real* starTB =
-      ba.starTB.data() + static_cast<std::size_t>(batch.begin) * 3 * stride;
-  batchedVolumeKernel(rm, starTB, tIntTile, dofTile, faceScratch, width, ld);
+  gatherStars([&](int lane) { return a.starOf(batch.begin + lane); }, width,
+              starTile);
+  batchedVolumeKernel(rm, starTile, tIntTile, dofTile, faceScratch, width,
+                      ld);
 
   const auto usesFluxMatrix = [&](int lane, int f) {
     const FaceKind kind = faces[lane * 4 + f].kind;
@@ -136,8 +152,7 @@ void BatchedBackend::correctorBatch(const ElementBatch& batch,
       if (usesFluxMatrix(lane, f)) {
         // Pre-negated flux-solver matrix, the same operand the
         // reference backend reads (SimulationAssets::negFluxMinusTB).
-        negFluxPtrs[lane] =
-            negFluxMinusTB + static_cast<std::size_t>(lane * 4 + f) * stride;
+        negFluxPtrs[lane] = a.negFluxMinusOf(firstFace + lane * 4 + f);
       } else {
         s_.applyPointwiseFace(
             face, elems[lane], f, dt,
@@ -198,8 +213,7 @@ void BatchedBackend::correctorBatch(const ElementBatch& batch,
         // Finer neighbour: its buffer accumulated both sub-intervals.
         ln.src = s_.bufferOf(face.neighbor);
       }
-      ln.negFluxPlusT =
-          negFluxPlusTB + static_cast<std::size_t>(lane2 * 4 + f) * stride;
+      ln.negFluxPlusT = a.negFluxPlusOf(firstFace + lane2 * 4 + f);
       ln.fluxNeighbor =
           rm.fluxNeighbor[f][face.neighborFace][face.permutation].data();
     }

@@ -6,8 +6,11 @@
 // pipeline is bitwise-identical to the reference backend (pinned by
 // tests/test_batched_kernels.cpp).
 //
-// The operand tensors (star matrices and negated star/flux matrices) and
-// the face table are stored once in SimulationAssets, already in cluster
+// The operand tensors (star matrices and negated star/flux matrices) are
+// read from SimulationAssets' operand dictionary through its per-element
+// and per-face indices: the flux stages take a pointer per lane, and the
+// star kernels read the batch's entries gathered lane-major into the tile
+// scratch.  The face table is stored once in SimulationAssets, in cluster
 // order; the batch layout for the run's batch size comes from
 // SimulationAssets::batchedAssets(batchSize), cached per batch size and
 // const-shared, and is fetched when the backend is constructed.
@@ -57,9 +60,12 @@ class BatchedBackend : public KernelBackend {
                                  static_cast<int>(tile)];
   }
 
-  // Shared batch layout and operand views of the run's batch size.
+  // Shared batch layout of the run's batch size.
   std::shared_ptr<const BatchedAssets> ba_;
-  // Tile scratch of the pipeline ((degree+3) tiles of nb*9*batchSize).
+  // Tile scratch of the pipeline: (degree+3) tiles of nb*9*batchSize
+  // reals, then, at starTileOffset_, the batch's gathered star operands
+  // (batchSize x 3 x 81 reals).
+  std::size_t starTileOffset_ = 0;
   std::size_t tileScratchSize_ = 0;
 };
 

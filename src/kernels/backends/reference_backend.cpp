@@ -23,11 +23,8 @@ void ReferenceBackend::predictor(int elem) {
   const int c = a.clusters.cluster[elem];
   const real dt = a.clusters.dtMin * static_cast<real>(a.clusters.spanOf(c));
   real* scratch = backendThreadScratch(0, a.scratchSize);
-  aderPredictor(a.rm,
-                a.starTB.data() +
-                    static_cast<std::size_t>(a.orderedIndexOf[elem]) * 3 *
-                        kNumQuantities * kNumQuantities,
-                s_.dofsOf(elem), s_.stackOf(elem), scratch);
+  aderPredictor(a.rm, a.starOf(a.orderedIndexOf[elem]), s_.dofsOf(elem),
+                s_.stackOf(elem), scratch);
   taylorIntegrate(a.rm, s_.stackOf(elem), 0.0, dt, s_.tIntOf(elem));
 }
 
@@ -42,16 +39,14 @@ void ReferenceBackend::corrector(int elem, std::int64_t tick) {
   real* scratch2 = scratch + a.nbq;     // nbq (neighbour integrals)
   real* scratchBig = scratch2 + a.nbq;  // gravity/rupture traces
 
-  const int stride = kNumQuantities * kNumQuantities;
   const std::size_t oi = static_cast<std::size_t>(a.orderedIndexOf[elem]);
   real* q = s_.dofsOf(elem);
-  volumeKernel(rm, a.starTB.data() + oi * 3 * stride, s_.tIntOf(elem), q,
-               scratch);
+  volumeKernel(rm, a.starOf(oi), s_.tIntOf(elem), q, scratch);
 
   for (int f = 0; f < 4; ++f) {
     const FaceRecord& face = a.faceTable[oi * 4 + f];
     // Pre-negated flux-solver matrix of this face (its ordered slot).
-    const real* negFluxMinusT = a.negFluxMinusTB.data() + (oi * 4 + f) * stride;
+    const real* negFluxMinusT = a.negFluxMinusOf(oi * 4 + f);
     switch (face.kind) {
       case FaceKind::kRegular: {
         surfaceKernel(rm, rm.fluxLocal[f], negFluxMinusT, s_.tIntOf(elem), q,
@@ -73,7 +68,7 @@ void ReferenceBackend::corrector(int elem, std::int64_t tick) {
         }
         surfaceKernel(
             rm, rm.fluxNeighbor[f][face.neighborFace][face.permutation],
-            a.negFluxPlusTB.data() + (oi * 4 + f) * stride, src, q, scratch);
+            a.negFluxPlusOf(oi * 4 + f), src, q, scratch);
         break;
       }
       case FaceKind::kBoundaryFolded:

@@ -17,8 +17,10 @@
 // before accumulating into it stores its result instead (bitwise the same,
 // see batched_kernels.cpp).
 //
-// Batch-ordered side arrays ("B" suffix): starTB holds, lane-major, the
-// 3 transposed star matrices of each lane (lane*3*81 + c*81).
+// Lane-major operand tiles ("B" suffix): starTB (and negStarTB) holds
+// the 3 transposed star matrices of each lane of the batch, contiguous at
+// lane*3*81 + c*81.  The batched backend gathers a batch's entries from
+// the asset's operand dictionary into its tile scratch before each call.
 
 #include "common/types.hpp"
 #include "kernels/reference_matrices.hpp"

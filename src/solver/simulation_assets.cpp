@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cstring>
 #include <map>
 #include <stdexcept>
 #include <unordered_map>
@@ -49,12 +48,14 @@ struct OperandKeyHash {
   }
 };
 
-/// Ordered slot of the first slot with the same key; `firsts` collects
-/// the slots that start a new key (the ones the fill computes).
+/// Dictionary entry of a key; `firsts` collects the slot of each new
+/// key's first occurrence (the slot the fill computes that entry from).
 template <std::size_t N>
-int firstSlotOf(std::unordered_map<OperandKey<N>, int, OperandKeyHash>& seen,
-                const OperandKey<N>& key, int slot, std::vector<int>& firsts) {
-  const auto [it, inserted] = seen.emplace(key, slot);
+std::int32_t entryOf(
+    std::unordered_map<OperandKey<N>, std::int32_t, OperandKeyHash>& seen,
+    const OperandKey<N>& key, int slot, std::vector<int>& firsts) {
+  const auto [it, inserted] =
+      seen.emplace(key, static_cast<std::int32_t>(firsts.size()));
   if (inserted) {
     firsts.push_back(slot);
   }
@@ -128,7 +129,7 @@ SimulationAssets::SimulationAssets(Mesh meshIn,
   // ---- serial discovery pass over (e, f): LTS neighbour flags, the
   // face table (kinds, scales, neighbour relations, aux pre-assignment in
   // canonical (e, f) order), the face-frame flux operators of every
-  // material pair in use, and the source slot of every kernel operand ---
+  // material pair in use, and the dictionary entry of every operand ----
   faceTable.assign(static_cast<std::size_t>(n) * 4, {});
   hasCoarserNeighbor.assign(n, 0);
   stackNeeded.assign(n, 0);
@@ -154,17 +155,17 @@ SimulationAssets::SimulationAssets(Mesh meshIn,
     return it->second;
   };
 
-  // Operand sources: every mesh from the tensor-product mesher repeats
-  // its element and face geometry, so the fill computes each distinct
-  // operand once, at the first ordered slot with the same inputs, and
-  // copies it to the others.  A star operand is keyed by (material id,
-  // grad xi), a flux operand by (faceOps index, face normal, face scale).
-  std::vector<int> starSource(n);  // [orderedElem]
-  // [orderedElem*4 + f]; -1 on faces without a flux-solver matrix.
-  std::vector<int> fluxSource(static_cast<std::size_t>(n) * 4, -1);
-  std::vector<int> firstStars, firstFluxes;  // the slots pass 1 computes
-  std::unordered_map<OperandKey<10>, int, OperandKeyHash> starSeen;
-  std::unordered_map<OperandKey<5>, int, OperandKeyHash> fluxSeen;
+  // The operand dictionary: every mesh from the tensor-product mesher
+  // repeats its element and face geometry, so each distinct operand is
+  // stored once, computed from the first slot with its inputs.  A star
+  // operand is keyed by (material id, grad xi), a flux operand by
+  // (faceOps index, face normal, face scale).  Slots without a
+  // flux-solver matrix stay -1 here and name the zero entry below.
+  starIndex.assign(n, -1);
+  fluxIndex.assign(static_cast<std::size_t>(n) * 4, -1);
+  std::vector<int> firstStars, firstFluxes;  // the slots the fill reads
+  std::unordered_map<OperandKey<10>, std::int32_t, OperandKeyHash> starSeen;
+  std::unordered_map<OperandKey<5>, std::int32_t, OperandKeyHash> fluxSeen;
   const auto keyStar = [&](int e) {
     const int oi = orderedIndexOf[e];
     OperandKey<10> key{static_cast<std::uint64_t>(mesh.elements[e].material)};
@@ -174,7 +175,7 @@ SimulationAssets::SimulationAssets(Mesh meshIn,
         key[1 + 3 * c + d] = bitsOf(g[c][d]);
       }
     }
-    starSource[oi] = firstSlotOf(starSeen, key, oi, firstStars);
+    starIndex[oi] = entryOf(starSeen, key, oi, firstStars);
   };
   const auto keyFlux = [&](int e, int f, int opsIndex) {
     const int slot = orderedIndexOf[e] * 4 + f;
@@ -182,7 +183,7 @@ SimulationAssets::SimulationAssets(Mesh meshIn,
     const OperandKey<5> key = {
         static_cast<std::uint64_t>(opsIndex), bitsOf(normal[0]),
         bitsOf(normal[1]), bitsOf(normal[2]), bitsOf(faceTable[slot].scale)};
-    fluxSource[slot] = firstSlotOf(fluxSeen, key, slot, firstFluxes);
+    fluxIndex[slot] = entryOf(fluxSeen, key, slot, firstFluxes);
   };
 
   for (int e = 0; e < n; ++e) {
@@ -250,16 +251,22 @@ SimulationAssets::SimulationAssets(Mesh meshIn,
     }
   }
 
-  // ---- static kernel operands, filled once in cluster order: the
-  // transposed star matrices (and their negation, the predictor operand)
-  // and the pre-scaled, transposed, negated flux-solver matrices --------
+  // Gravity and rupture faces use pointwise fluxes: their slots name one
+  // shared all-zero entry after the distinct ones.
+  const int numStars = static_cast<int>(firstStars.size());
+  const int numFluxes = static_cast<int>(firstFluxes.size());
+  std::replace(fluxIndex.begin(), fluxIndex.end(), -1, numFluxes);
+
+  // ---- the dictionary entries, each filled once: the transposed star
+  // matrices (and their negation, the predictor operand) and the
+  // pre-scaled, transposed, negated flux-solver matrices ----------------
   // The corrector only ever uses the flux-solver matrices negated (the
   // surface kernels subtract their product); storing them pre-negated
   // folds that sign into the GEMM operand.  Each product term flips sign
   // exactly, so results stay bitwise-identical.
-  constexpr int stride = kNumQuantities * kNumQuantities;
-  const std::size_t starSize = static_cast<std::size_t>(n) * 3 * stride;
-  const std::size_t fluxSize = static_cast<std::size_t>(n) * 4 * stride;
+  const std::size_t starSize = static_cast<std::size_t>(numStars) * kStarReals;
+  const std::size_t fluxSize =
+      static_cast<std::size_t>(numFluxes + 1) * kFluxReals;
   operandStorage_ =
       std::make_unique_for_overwrite<real[]>(2 * starSize + 2 * fluxSize);
   real* const starOut = operandStorage_.get();
@@ -270,6 +277,8 @@ SimulationAssets::SimulationAssets(Mesh meshIn,
   negStarTB = ConstSpan<real>(negStarOut, starSize);
   negFluxMinusTB = ConstSpan<real>(negFluxMinusOut, fluxSize);
   negFluxPlusTB = ConstSpan<real>(negFluxPlusOut, fluxSize);
+  std::fill_n(negFluxMinusOut + numFluxes * kFluxReals, kFluxReals, 0.0);
+  std::fill_n(negFluxPlusOut + numFluxes * kFluxReals, kFluxReals, 0.0);
 
   // dst[i][j] = -(scale * m(j, i)): transposed, pre-scaled, negated.
   const auto storeNegT = [](const Matrix& m, real scale, real* dst) {
@@ -280,38 +289,30 @@ SimulationAssets::SimulationAssets(Mesh meshIn,
     }
   };
 
-  // Pass 1 computes the first occurrence of every distinct operand, pass 2
-  // copies it to the other slots with the same inputs and zeroes the flux
-  // slots of faces without a flux-solver matrix.  Each slot is written
-  // once, from the immutable discovery results, so the fill is
-  // thread-count independent.
-  const int numFirstStars = static_cast<int>(firstStars.size());
-  const int numFirstFluxes = static_cast<int>(firstFluxes.size());
-  constexpr std::size_t kStarBytes = 3 * stride * sizeof(real);
-  constexpr std::size_t kFluxBytes = stride * sizeof(real);
+  // Each entry is written once, from the immutable discovery results, so
+  // the fill is thread-count independent.
   tsanRelease();
 #pragma omp parallel
   {
     tsanAcquire();
 #pragma omp for schedule(static) nowait
-    for (int k = 0; k < numFirstStars; ++k) {
-      const std::size_t oi = static_cast<std::size_t>(firstStars[k]);
-      const int e = orderedElements[oi];
+    for (int k = 0; k < numStars; ++k) {
+      const int e = orderedElements[firstStars[k]];
       const auto g = gradXi(mesh, e);
       for (int c = 0; c < 3; ++c) {
         const Matrix star = starMatrix(elemMaterial[e], g[c]);
-        real* dst = starOut + (oi * 3 + c) * stride;
-        real* neg = negStarOut + (oi * 3 + c) * stride;
+        const std::size_t at = static_cast<std::size_t>(k) * kStarReals +
+                               static_cast<std::size_t>(c) * kFluxReals;
         for (int r = 0; r < kNumQuantities; ++r) {
           for (int j = 0; j < kNumQuantities; ++j) {
-            dst[r * kNumQuantities + j] = star(j, r);
-            neg[r * kNumQuantities + j] = -star(j, r);
+            starOut[at + r * kNumQuantities + j] = star(j, r);
+            negStarOut[at + r * kNumQuantities + j] = -star(j, r);
           }
         }
       }
     }
-#pragma omp for schedule(static) nowait
-    for (int k = 0; k < numFirstFluxes; ++k) {
+#pragma omp for schedule(static)
+    for (int k = 0; k < numFluxes; ++k) {
       const std::size_t slot = static_cast<std::size_t>(firstFluxes[k]);
       const int e = orderedElements[slot / 4];
       const int f = static_cast<int>(slot % 4);
@@ -319,40 +320,12 @@ SimulationAssets::SimulationAssets(Mesh meshIn,
       const FluxMatrices fm =
           faceFluxMatrices(ops[faceOps[static_cast<std::size_t>(e) * 4 + f]],
                            mesh.faceNormal(e, f));
-      storeNegT(fm.fMinus, rec.scale, negFluxMinusOut + slot * stride);
-      real* negPlus = negFluxPlusOut + slot * stride;
+      const std::size_t at = static_cast<std::size_t>(k) * kFluxReals;
+      storeNegT(fm.fMinus, rec.scale, negFluxMinusOut + at);
       if (rec.kind == FaceKind::kRegular) {
-        storeNegT(fm.fPlus, rec.scale, negPlus);
+        storeNegT(fm.fPlus, rec.scale, negFluxPlusOut + at);
       } else {
-        std::fill_n(negPlus, stride, 0.0);
-      }
-    }
-    tsanRelease();
-#pragma omp barrier
-    tsanAcquire();
-#pragma omp for schedule(static)
-    for (int i = 0; i < n; ++i) {
-      const std::size_t oi = static_cast<std::size_t>(i);
-      const std::size_t src = static_cast<std::size_t>(starSource[i]);
-      if (src != oi) {
-        std::memcpy(starOut + oi * 3 * stride, starOut + src * 3 * stride,
-                    kStarBytes);
-        std::memcpy(negStarOut + oi * 3 * stride,
-                    negStarOut + src * 3 * stride, kStarBytes);
-      }
-      for (std::size_t slot = oi * 4; slot < oi * 4 + 4; ++slot) {
-        real* negMinus = negFluxMinusOut + slot * stride;
-        real* negPlus = negFluxPlusOut + slot * stride;
-        if (fluxSource[slot] < 0) {
-          // Gravity / rupture faces use pointwise fluxes.
-          std::fill_n(negMinus, stride, 0.0);
-          std::fill_n(negPlus, stride, 0.0);
-        } else if (static_cast<std::size_t>(fluxSource[slot]) != slot) {
-          const std::size_t from =
-              static_cast<std::size_t>(fluxSource[slot]) * stride;
-          std::memcpy(negMinus, negFluxMinusOut + from, kFluxBytes);
-          std::memcpy(negPlus, negFluxPlusOut + from, kFluxBytes);
-        }
+        std::fill_n(negFluxPlusOut + at, kFluxReals, 0.0);
       }
     }
     tsanRelease();

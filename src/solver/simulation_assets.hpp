@@ -8,11 +8,13 @@
 //
 //  * geometry: the mesh, per-element materials, the point-location index;
 //  * discretisation: basis reference matrices, the LTS ClusterLayout;
-//  * static kernel operands, stored once in the cluster-contiguous
-//    element order and in the form the kernels read: transposed star
-//    matrices (and their negation) and pre-scaled, negated per-face
-//    Godunov flux matrices; both backends index them through
-//    orderedIndexOf, and every batch size views the same storage;
+//  * static kernel operands in the form the kernels read -- transposed
+//    star matrices (and their negation) and pre-scaled, negated per-face
+//    Godunov flux matrices -- as an operand dictionary: each distinct
+//    operand is stored once, and an int32 index per element (starIndex)
+//    and per face slot (fluxIndex), in the cluster-contiguous element
+//    order, names its entry.  Both backends read through the index, and
+//    every batch size views the same dictionary;
 //  * the face table: one record per face (kind, neighbour, aux index,
 //    scale, seafloor recorder index) in the same cluster order, which
 //    both backends read, and the elements whose derivative stack is read
@@ -34,17 +36,18 @@
 // construction over the recorded face lists in that same order.  Replayed
 // indices therefore coincide with the face table's aux values, and a run
 // built from shared assets is bitwise identical to a standalone one.
-// The face table comes from a serial discovery pass; only the operand
-// fill, where every slot is written once, is threaded.
+// The face table and the operand indices come from a serial discovery
+// pass; only the fill of the dictionary entries is threaded.
 //
-// Set-up cost: a mesh from the tensor-product mesher repeats its element
-// and face geometry (palu has 38 808 elements but 6 566 distinct star
-// inputs), so the discovery pass also keys every operand by the bit
-// pattern of its inputs -- (material id, grad xi) for a star operand,
-// (flux operator set, face normal, face scale) for a flux operand.  The
-// fill computes the first occurrence of each key and then copies it to
-// the other slots.  Layout and bytes are those of a direct per-slot
-// build; a mesh without repeats simply computes every slot.
+// Set-up cost and memory: a mesh from the tensor-product mesher repeats
+// its element and face geometry (palu has 38 808 elements but 6 566
+// distinct star inputs), so the discovery pass keys every operand by the
+// bit pattern of its inputs -- (material id, grad xi) for a star operand,
+// (flux operator set, face normal, face scale) for a flux operand -- and
+// the dictionary holds the first occurrence of each key.  Every slot
+// resolves to the bytes of a direct per-slot build; a mesh without
+// repeats holds at most one entry per slot, no more operand bytes than a
+// per-slot array (plus the 4-byte indices).
 
 #include <cstdint>
 #include <map>
@@ -125,8 +128,11 @@ struct FaceRecord {
 };
 
 /// The batching of the batched backend for one batch size.  The operand
-/// members are views of the owning SimulationAssets' single copy (same
-/// names, same layout), valid for as long as those assets live.
+/// members are views of the owning SimulationAssets' operand dictionary
+/// (same names, same layout, indexed through SimulationAssets::starIndex
+/// and fluxIndex), valid for as long as those assets live.  perfbench's
+/// stage microbench reads these views directly and times the first
+/// entries of each as a batch's lane operands.
 struct BatchedAssets {
   ClusterBatchLayout layout;
   ConstSpan<real> starTB;          // SimulationAssets::starTB
@@ -168,14 +174,38 @@ class SimulationAssets {
   std::vector<int> orderedElements;  // [orderedElem] -> mesh elem
   std::vector<int> orderedIndexOf;   // [mesh elem] -> orderedElem
 
-  // Static kernel operands, in cluster order (views of operandStorage_).
-  // Flux matrices are pre-scaled by the face scale and negated; they are
-  // zero on faces without a flux-solver matrix (gravity, rupture;
-  // fluxPlus on boundary faces).
-  ConstSpan<real> starTB;          // [orderedElem][3][81], transposed
+  // Static kernel operands: the dictionary entries (views of
+  // operandStorage_) and the index of each element's and face slot's
+  // entry, in cluster order.  Flux matrices are pre-scaled by the face
+  // scale and negated; negFluxPlus is zero on boundary faces, and the
+  // slots of faces without a flux-solver matrix (gravity, rupture) name
+  // one shared all-zero entry, the last.
+  static constexpr std::size_t kFluxReals = kNumQuantities * kNumQuantities;
+  static constexpr std::size_t kStarReals = 3 * kFluxReals;
+  ConstSpan<real> starTB;          // [starEntry][3][81], transposed
   ConstSpan<real> negStarTB;       // -starTB (predictor operand)
-  ConstSpan<real> negFluxMinusTB;  // [orderedElem*4 + f][81]
-  ConstSpan<real> negFluxPlusTB;   // [orderedElem*4 + f][81]
+  ConstSpan<real> negFluxMinusTB;  // [fluxEntry][81]
+  ConstSpan<real> negFluxPlusTB;   // [fluxEntry][81]
+  std::vector<std::int32_t> starIndex;  // [orderedElem] -> starEntry
+  std::vector<std::int32_t> fluxIndex;  // [orderedElem*4 + f] -> fluxEntry
+
+  /// An element's (ordered index oi) transposed star matrices, and the
+  /// negated flux-solver matrices of one of its face slots (oi*4 + f).
+  const real* starOf(std::size_t oi) const {
+    return starTB.data() + static_cast<std::size_t>(starIndex[oi]) * kStarReals;
+  }
+  const real* negStarOf(std::size_t oi) const {
+    return negStarTB.data() +
+           static_cast<std::size_t>(starIndex[oi]) * kStarReals;
+  }
+  const real* negFluxMinusOf(std::size_t slot) const {
+    return negFluxMinusTB.data() +
+           static_cast<std::size_t>(fluxIndex[slot]) * kFluxReals;
+  }
+  const real* negFluxPlusOf(std::size_t slot) const {
+    return negFluxPlusTB.data() +
+           static_cast<std::size_t>(fluxIndex[slot]) * kFluxReals;
+  }
 
   std::vector<FaceRecord> faceTable;             // [orderedElem*4 + f]
   std::vector<std::uint8_t> hasCoarserNeighbor;  // [elem]
@@ -197,19 +227,16 @@ class SimulationAssets {
   std::uint64_t assetHash = 0;
 
   /// The batching for one batch size (<= 0 selects the auto size): its
-  /// layout plus views of the one operand copy above (no operand is
+  /// layout plus views of the operand dictionary above (no operand is
   /// copied per batch size).  Built on first request and cached;
   /// thread-safe, so concurrent ensemble members share one per batch
   /// size.
   std::shared_ptr<const BatchedAssets> batchedAssets(int batchSize) const;
 
  private:
-  // The four operand arrays back to back, allocated uninitialised.  The
-  // threaded fill writes every slot exactly once -- first the first
-  // occurrence of each distinct operand, then a copy of it in every other
-  // slot with the same inputs (zeros in the flux slots of gravity and
-  // rupture faces) -- so the pages are first touched in parallel instead
-  // of by a serial zero-fill pass.
+  // The four dictionaries back to back, allocated uninitialised; the
+  // threaded fill writes every entry exactly once, so the pages are first
+  // touched in parallel instead of by a serial zero-fill pass.
   std::unique_ptr<real[]> operandStorage_;
 
   mutable std::mutex batchedMutex_;

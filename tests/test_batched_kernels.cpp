@@ -103,8 +103,10 @@ TEST(BatchedKernels, MegathrustReceiversBitwiseMatchReference) {
                            ref->dofsData().size() * sizeof(real)));
 }
 
-// The operands exist once per asset: every batch size views that copy
-// (no per-batch-size relayout), in the order every batch layout keeps.
+// The operands exist once per asset, as its operand dictionary: every
+// batch size views those entries (no per-batch-size relayout), and the
+// per-element and per-face indices follow the order every batch layout
+// keeps.
 TEST(BatchedKernels, BatchSizesViewTheOneAssetOperandCopy) {
   const ScenarioBundle s = megathrustPreset();
   const SimulationAssets assets(s.mesh, s.materials,
@@ -120,11 +122,15 @@ TEST(BatchedKernels, BatchSizesViewTheOneAssetOperandCopy) {
     EXPECT_EQ(ba->negFluxMinusTB.data(), assets.negFluxMinusTB.data());
     EXPECT_EQ(ba->negFluxPlusTB.data(), assets.negFluxPlusTB.data());
     EXPECT_EQ(ba->starTB.size(), assets.starTB.size());
+    EXPECT_EQ(ba->negStarTB.size(), assets.negStarTB.size());
+    EXPECT_EQ(ba->negFluxMinusTB.size(), assets.negFluxMinusTB.size());
     EXPECT_EQ(ba->negFluxPlusTB.size(), assets.negFluxPlusTB.size());
     EXPECT_EQ(ba->layout.elements(), assets.orderedElements);
   }
   const int n = assets.mesh.numElements();
   ASSERT_EQ(static_cast<int>(assets.orderedIndexOf.size()), n);
+  EXPECT_EQ(static_cast<int>(assets.starIndex.size()), n);
+  EXPECT_EQ(static_cast<int>(assets.fluxIndex.size()), 4 * n);
   for (int i = 0; i < n; ++i) {
     EXPECT_EQ(assets.orderedIndexOf[assets.orderedElements[i]], i);
   }

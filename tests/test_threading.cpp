@@ -217,9 +217,10 @@ std::uint64_t digestOf(const Container& c) {
 }
 
 // The operand fill of SimulationAssets is one threaded loop in which each
-// element writes only its own slots; the face table and stackNeeded come
-// from a serial pass.  Every static array must therefore be bitwise the
-// same at 1 and 4 threads (and under TSan this runs the parallel region).
+// dictionary entry is written once; the operand indices, the face table
+// and stackNeeded come from a serial pass.  Every static array must
+// therefore be bitwise the same at 1 and 4 threads (and under TSan this
+// runs the parallel region).
 // digestOf reads raw bytes, so a face record must have no padding.
 static_assert(sizeof(FaceRecord) == 4 + 3 * sizeof(int) + sizeof(real));
 
@@ -233,6 +234,7 @@ TEST(Threading, AssetOperandsBitwiseAcrossThreadCounts) {
     const SimulationAssets a(bundle.mesh, bundle.materials, cfg);
     digests.push_back({digestOf(a.starTB), digestOf(a.negStarTB),
                        digestOf(a.negFluxMinusTB), digestOf(a.negFluxPlusTB),
+                       digestOf(a.starIndex), digestOf(a.fluxIndex),
                        digestOf(a.faceTable), digestOf(a.stackNeeded),
                        digestOf(a.gravityFaces),
                        digestOf(a.ruptureFaces), a.assetHash});
@@ -240,9 +242,10 @@ TEST(Threading, AssetOperandsBitwiseAcrossThreadCounts) {
     EXPECT_FALSE(a.ruptureFaces.empty());
   }
   omp_set_num_threads(saved);
-  const char* names[] = {"starTB",        "negStarTB",    "negFluxMinusTB",
-                         "negFluxPlusTB", "faceTable",    "stackNeeded",
-                         "gravityFaces",  "ruptureFaces", "assetHash"};
+  const char* names[] = {"starTB",       "negStarTB",    "negFluxMinusTB",
+                         "negFluxPlusTB", "starIndex",    "fluxIndex",
+                         "faceTable",     "stackNeeded",  "gravityFaces",
+                         "ruptureFaces",  "assetHash"};
   ASSERT_EQ(digests[0].size(), std::size(names));
   for (std::size_t i = 0; i < digests[0].size(); ++i) {
     EXPECT_EQ(digests[0][i], digests[1][i]) << names[i];
@@ -332,16 +335,14 @@ DirectOperands buildOperandsDirectly(const SimulationAssets& a) {
   return d;
 }
 
-/// First 81-real slot where two operand arrays differ bitwise, or -1.
-long firstDifferingSlot(ConstSpan<real> built,
-                        const std::vector<real>& direct) {
-  constexpr std::size_t stride = kNumQuantities * kNumQuantities;
-  if (built.size() != direct.size()) {
-    return 0;
-  }
-  for (std::size_t s = 0; s < direct.size() / stride; ++s) {
-    if (std::memcmp(built.data() + s * stride, direct.data() + s * stride,
-                    stride * sizeof(real)) != 0) {
+/// First ordered element or face slot whose operand, resolved through the
+/// asset's operand index, differs bitwise from the direct build, or -1.
+using OperandOf = const real* (SimulationAssets::*)(std::size_t) const;
+long firstDifferingSlot(const SimulationAssets& a, OperandOf operandOf,
+                        std::size_t reals, const std::vector<real>& direct) {
+  for (std::size_t s = 0; s < direct.size() / reals; ++s) {
+    if (std::memcmp((a.*operandOf)(s), direct.data() + s * reals,
+                    reals * sizeof(real)) != 0) {
       return static_cast<long>(s);
     }
   }
@@ -411,15 +412,19 @@ void alternateCrustMaterial(Mesh& mesh, std::vector<Material>& materials) {
   }
 }
 
-// The asset fill computes each distinct (material, grad xi) star operand
-// and each distinct (operator set, normal, scale) flux operand once and
-// copies it to every other slot with the same inputs.  Every slot must
-// equal a direct build from its own element and face, at 1 and 4 threads,
-// on the megathrust preset (heavy repetition), on a copy with jittered
-// interior vertices (next to none), and on a copy whose equal geometry
-// carries two crust materials.  A key that dropped the material, the
-// normal or the scale would copy an operand to a slot it does not fit.
+// The operand dictionary holds each distinct (material, grad xi) star
+// operand and each distinct (operator set, normal, scale) flux operand
+// once.  Every slot's operand, resolved through starIndex / fluxIndex,
+// must equal a direct build from its own element and face, at 1 and 4
+// threads, on the megathrust preset (heavy repetition), on a copy with
+// jittered interior vertices (next to none), and on a copy whose equal
+// geometry carries two crust materials.  A key that dropped the material,
+// the normal or the scale would point a slot at an operand it does not
+// fit.  The dictionary never holds more than one entry per slot (the
+// jittered copy comes close) and, on the preset, far fewer.
 TEST(Threading, AssetOperandsMatchDirectBuild) {
+  constexpr std::size_t kStar = SimulationAssets::kStarReals;
+  constexpr std::size_t kFlux = SimulationAssets::kFluxReals;
   const int saved = omp_get_max_threads();
   const ScenarioBundle bundle = megathrustPreset();
   const AssetConfig cfg = AssetConfig::fromSolverConfig(bundle.solver);
@@ -440,12 +445,39 @@ TEST(Threading, AssetOperandsMatchDirectBuild) {
       if (!direct) {
         direct = std::make_unique<DirectOperands>(buildOperandsDirectly(a));
       }
-      EXPECT_EQ(firstDifferingSlot(a.starTB, direct->star), -1) << "starTB";
-      EXPECT_EQ(firstDifferingSlot(a.negStarTB, direct->negStar), -1)
+      ASSERT_EQ(a.starIndex.size() * kStar, direct->star.size());
+      ASSERT_EQ(a.fluxIndex.size() * kFlux, direct->negFluxMinus.size());
+      const std::size_t stars = a.starTB.size() / kStar;
+      const std::size_t fluxes = a.negFluxMinusTB.size() / kFlux;
+      ASSERT_EQ(a.negStarTB.size(), a.starTB.size());
+      ASSERT_EQ(a.negFluxPlusTB.size(), a.negFluxMinusTB.size());
+      for (const std::int32_t i : a.starIndex) {
+        ASSERT_TRUE(i >= 0 && static_cast<std::size_t>(i) < stars) << i;
+      }
+      for (const std::int32_t i : a.fluxIndex) {
+        ASSERT_TRUE(i >= 0 && static_cast<std::size_t>(i) < fluxes) << i;
+      }
+      EXPECT_LE(stars, a.starIndex.size());
+      EXPECT_LE(fluxes, a.fluxIndex.size());
+      if (variant == "preset") {
+        EXPECT_LT(10 * stars, a.starIndex.size());
+        EXPECT_LT(10 * fluxes, a.fluxIndex.size());
+      }
+      EXPECT_EQ(firstDifferingSlot(a, &SimulationAssets::starOf, kStar,
+                                   direct->star),
+                -1)
+          << "starTB";
+      EXPECT_EQ(firstDifferingSlot(a, &SimulationAssets::negStarOf, kStar,
+                                   direct->negStar),
+                -1)
           << "negStarTB";
-      EXPECT_EQ(firstDifferingSlot(a.negFluxMinusTB, direct->negFluxMinus), -1)
+      EXPECT_EQ(firstDifferingSlot(a, &SimulationAssets::negFluxMinusOf,
+                                   kFlux, direct->negFluxMinus),
+                -1)
           << "negFluxMinusTB";
-      EXPECT_EQ(firstDifferingSlot(a.negFluxPlusTB, direct->negFluxPlus), -1)
+      EXPECT_EQ(firstDifferingSlot(a, &SimulationAssets::negFluxPlusOf, kFlux,
+                                   direct->negFluxPlus),
+                -1)
           << "negFluxPlusTB";
     }
   }
